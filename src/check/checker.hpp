@@ -46,9 +46,9 @@ namespace dsm {
 
 class DsmChecker {
  public:
-  /// Which flavour of critical section a lock hook reports. Mutex and write
-  /// sections are exclusive; read sections may overlap each other.
-  enum class LockMode : std::uint8_t { kMutex, kRead, kWrite };
+  /// Which flavour of critical section a lock hook reports. Write sections
+  /// (a mutex's included) are exclusive; read sections may overlap each other.
+  enum class LockMode : std::uint8_t { kRead, kWrite };
 
   /// Static wiring. The checker deliberately knows nothing about System or
   /// the protocol classes: the runtime distills what it needs into traits

@@ -71,6 +71,10 @@ struct FtConfig {
   std::vector<NodeFault> faults;
 };
 
+// Virtual-time cost model (see DESIGN.md "Virtual time").
+inline constexpr VirtualTime kFaultNs = 5'000;    ///< trap + kernel + handler entry per fault
+inline constexpr VirtualTime kServiceNs = 2'000;  ///< protocol software overhead per message
+
 /// One run's static configuration.
 struct Config {
   std::size_t n_nodes = 4;
@@ -124,10 +128,9 @@ struct Config {
   /// death schedule (off by default). See DESIGN.md "Fault tolerance".
   FtConfig ft{};
 
-  // Virtual-time cost model (see DESIGN.md "Virtual time").
-  VirtualTime fault_ns = 5'000;    ///< trap + kernel + handler entry per fault
-  VirtualTime service_ns = 2'000;  ///< protocol software overhead per message
-  VirtualTime ns_per_op = 10;      ///< one unit of application compute
+  /// Virtual-time cost of one unit of application compute (see DESIGN.md
+  /// "Virtual time").
+  VirtualTime ns_per_op = 10;
 
   /// Demand-fetch protocols (IVY family, ERC, HLRC): on a read miss, also
   /// request the next N sequential pages asynchronously. 0 = pure demand

@@ -511,7 +511,7 @@ void System::service_loop(Node& node) {
           continue;
         }
         node.clock.advance_to(msg.arrival_time);
-        node.clock.advance(cfg_.service_ns);
+        node.clock.advance(kServiceNs);
         const bool is_sync = SyncAgent::handles(msg.type);
         {
           // One span per message handled: the service-side half of a
@@ -556,7 +556,7 @@ void System::dump_diagnostics(std::ostream& os) const {
      << cfg_.n_nodes << " nodes, " << cfg_.n_pages << " pages)\n";
   fault_engine_->debug_dump(os);
   network_->debug_dump(os);
-  if (tracer_ != nullptr) tracer_->dump_tail(os, cfg_.trace.dump_tail_spans);
+  if (tracer_ != nullptr) tracer_->dump_tail(os, kDumpTailSpans);
   for (const auto& node : nodes_) {
     if (node == nullptr) continue;
     os << "  node " << node->ctx.id << " clock=" << node->clock.now() << "ns";

@@ -31,14 +31,6 @@ std::optional<Message> Mailbox::pop() {
   return msg;
 }
 
-std::optional<Message> Mailbox::try_pop() {
-  const MutexLock lock(mutex_);
-  if (queue_.empty()) return std::nullopt;
-  Message msg = std::move(queue_.front());
-  queue_.pop_front();
-  return msg;
-}
-
 std::deque<Message> Mailbox::drain() {
   const MutexLock lock(mutex_);
   while (!closed_ && queue_.empty()) cv_.wait(mutex_);
@@ -63,6 +55,10 @@ std::size_t Mailbox::size() const {
 namespace {
 
 constexpr auto kNever = realclock::never();
+/// Retransmit timeout multiplier per retry (exponential backoff).
+constexpr double kRtoBackoff = 2.0;
+/// Max summed wire bytes per kBatch envelope.
+constexpr std::size_t kMaxBatchBytes = 16 * 1024;
 
 /// Min-heap order for Network::Delayed (generic: the type is private).
 struct DelayedOrder {
@@ -231,7 +227,7 @@ void Network::flush_staged(std::vector<Message>& staged) {
       std::size_t j = i;
       std::size_t bytes = 0;
       while (j < msgs.size() && j - i < wire_.max_batch_msgs &&
-             (j == i || bytes + msgs[j].wire_size() <= wire_.max_batch_bytes)) {
+             (j == i || bytes + msgs[j].wire_size() <= kMaxBatchBytes)) {
         bytes += msgs[j].wire_size();
         ++j;
       }
@@ -606,7 +602,7 @@ void Network::daemon_loop() {
       }
       ++entry.attempt;
       const double scaled = static_cast<double>(reliability_.rto_ms) *
-                            std::pow(reliability_.backoff, entry.attempt);
+                            std::pow(kRtoBackoff, entry.attempt);
       const auto rto_ms = std::min<double>(scaled, reliability_.rto_max_ms);
       entry.deadline = now + std::chrono::microseconds(
                                  static_cast<std::int64_t>(rto_ms * 1000.0));

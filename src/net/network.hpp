@@ -67,9 +67,7 @@ struct ReliabilityConfig {
   bool enabled = true;
   /// Base retransmit timeout, real milliseconds.
   std::uint32_t rto_ms = 5;
-  /// Timeout multiplier per retry (exponential backoff).
-  double backoff = 2.0;
-  /// Backoff ceiling, real milliseconds.
+  /// Backoff ceiling, real milliseconds (the timeout doubles per retry).
   std::uint32_t rto_max_ms = 200;
   /// Retransmits before the sender gives up (net.gave_up). A permanently
   /// lost protocol message hangs its waiter — that is the watchdog's cue.
@@ -86,8 +84,6 @@ struct WireConfig {
   bool batching = false;
   /// Max inner messages per envelope; a group larger than this is chunked.
   std::size_t max_batch_msgs = 16;
-  /// Max summed wire bytes per envelope.
-  std::size_t max_batch_bytes = 16 * 1024;
   /// Piggyback cumulative acks on reverse-direction traffic instead of
   /// completing in-flight entries instantly on accept. A quiet link falls
   /// back to a standalone kAck datagram after `delayed_ack_us`.
@@ -109,8 +105,6 @@ class Mailbox {
   /// Blocks until a message is available or the mailbox is closed.
   /// Returns nullopt only after close() with an empty queue.
   std::optional<Message> pop();
-  /// Non-blocking variant for drain loops.
-  std::optional<Message> try_pop();
   /// Blocks like pop() but takes *everything* queued under one lock
   /// acquisition. Returns an empty deque only after close() with an empty
   /// queue. Burst dispatch for the service loop: one lock + one wakeup per

@@ -147,7 +147,7 @@ class UdpTransport final : public Transport {
     const std::vector<std::byte> wire = encode_datagram(msg, attempt, epoch_);
     if (wire.size() > kMaxDatagramSize) {
       // Oversized frames cannot be recovered by retransmission either;
-      // this is a configuration bug (max_batch_bytes vs page_size).
+      // this is a configuration bug (the batch byte cap vs page_size).
       send_errors_.add();
       DSM_LOG_WARN << "udp: datagram of " << wire.size() << " bytes exceeds "
                    << kMaxDatagramSize << " — dropped (" << to_string(msg.type) << ')';

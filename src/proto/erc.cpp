@@ -58,13 +58,12 @@ void ErcProtocol::on_write_fault(PageId page) {
 }
 
 void ErcProtocol::flush_dirty() {
-  // A racer that takes an empty list still waits out the outstanding acks
-  // below, so no release completes before every page dirtied under it has
-  // reached its home.
-  const std::vector<PageId> dirty = twins_.take();
+  // take() registers this flush's acks along with the swap, so a racer that
+  // takes an empty list still waits them out below: no release completes
+  // before every page dirtied under it has reached its home.
+  const std::vector<PageId> dirty = twins_.take(flush_acks_);
   if (!dirty.empty()) {
     ++n_flushes_;
-    flush_acks_.expect(static_cast<int>(dirty.size()));
     // Release-time fan-out batching: updates for pages sharing a home
     // coalesce into one kBatch datagram when the scope closes.
     Network::BatchScope batch(ctx_.net);
@@ -74,7 +73,8 @@ void ErcProtocol::flush_dirty() {
       std::size_t diff_bytes = 0;
       {
         const MutexLock lock(e.mutex);
-        const auto closed = twins_.close(page, e);
+        // Re-protect so the next write re-twins in a fresh interval.
+        const auto closed = twins_.close(page, e, PageState::kReadOnly);
         diff_bytes = closed.diff.size();
         if (ctx_.home_of(page) != ctx_.id && !ft()) {
           // The XOR form is sound here: the home's copy matches our twin on
@@ -90,8 +90,6 @@ void ErcProtocol::flush_dirty() {
           // against — ship the value form.
           field = page_io::pack_diff_field(ctx_, closed.diff);
         }
-        // Re-protect so the next write re-twins in a fresh interval.
-        page_io::set_state(ctx_, page, e, PageState::kReadOnly);
       }
       ctx_.stats->counter("erc.diff_bytes").add(diff_bytes);
       if (ft() && ctx_.home_of(page) != ctx_.id) {

@@ -23,7 +23,7 @@ namespace dsm {
 /// simply fetches again.
 ///
 /// The fault counts under proto.read_faults or proto.write_faults and
-/// advances Config::fault_ns. A `timed` fault does so on every attempt that
+/// advances kFaultNs. A `timed` fault does so on every attempt that
 /// finds the page idle and records proto.fault_service_ns and a
 /// proto/fault-txn span per attempt; an untimed one (the multiple-writer
 /// write fault, TwinSet::write_fault) counts once on entry.
@@ -33,7 +33,7 @@ void run_fault(const NodeContext& ctx, PageId page, PageState need, bool timed, 
   const auto charge = [&] {
     ctx.stats->counter(need == PageState::kReadWrite ? "proto.write_faults" : "proto.read_faults")
         .add();
-    ctx.clock->advance(ctx.cfg->fault_ns);
+    ctx.clock->advance(kFaultNs);
   };
   if (!timed) charge();
   auto& e = ctx.table->entry(page);

@@ -58,12 +58,13 @@ void HlrcProtocol::on_write_fault(PageId page) {
 // --------------------------------------------------------------------------
 
 void HlrcProtocol::close_and_flush() {
-  // A racer that takes an empty list still waits out the outstanding acks
-  // below — no release completes before every page dirtied under it is
-  // home-acknowledged.
-  const std::vector<PageId> dirty = twins_.take();
+  // take() registers this flush's acks along with the swap, so a racer that
+  // takes an empty list still waits them out below, then fills its grant
+  // under meta_mutex_, which this flush holds from before its first diff
+  // until its interval is logged — no release completes before every page
+  // dirtied under it is home-acknowledged.
+  const std::vector<PageId> dirty = twins_.take(flush_acks_);
   if (!dirty.empty()) {
-    flush_acks_.expect(static_cast<int>(dirty.size()));
     IntervalRecord rec;
     rec.node = ctx_.id;
     rec.pages = dirty;
@@ -74,13 +75,10 @@ void HlrcProtocol::close_and_flush() {
     for (const PageId page : dirty) {
       auto& e = ctx_.table->entry(page);
       const MutexLock lock(e.mutex);
-      const auto diff = twins_.close(page, e).diff;
-      ctx_.stats->counter("hlrc.flush_bytes").add(diff.size());
       // The copy stays readable: its content is exactly what we flushed.
       // A later write re-twins; remote writes arrive as notices.
-      if (e.state != PageState::kInvalid) {
-        page_io::set_state(ctx_, page, e, PageState::kReadOnly);
-      }
+      const auto diff = twins_.close(page, e, PageState::kReadOnly).diff;
+      ctx_.stats->counter("hlrc.flush_bytes").add(diff.size());
       WireWriter w(diff.size() + 16);
       w.put(page);
       w.put_bytes(diff);

@@ -93,7 +93,7 @@ void LrcProtocol::make_page_valid(PageId page) {
   pending_[page].clear();
   lock.unlock();
 
-  ctx_.clock->advance(ctx_.cfg->fault_ns);
+  ctx_.clock->advance(kFaultNs);
   const VirtualTime t0 = ctx_.clock->now();
 
   if (need_base) {
@@ -158,9 +158,11 @@ void LrcProtocol::make_page_valid(PageId page) {
 // --------------------------------------------------------------------------
 
 void LrcProtocol::close_interval() {
+  // Take the list under meta_mutex_: a racing release that takes an empty
+  // list then cannot fill its grant before this interval is recorded.
+  const MutexLock meta(meta_mutex_);
   const std::vector<PageId> dirty = twins_.take();
   if (dirty.empty()) return;
-  const MutexLock meta(meta_mutex_);
   ++lamport_;
   vc_.tick(ctx_.id);
   if (ctx_.check != nullptr) ctx_.check->on_vclock(ctx_.id, vc_);
@@ -179,13 +181,12 @@ void LrcProtocol::close_interval() {
     d.interval = interval;
     d.lamport = lamport_;
     d.writer = ctx_.id;
-    d.bytes = twins_.close(page, e).diff;
+    // Unseen remote writes exist: go invalid so the next access fetches
+    // their diffs before reading.
+    const PageState after = pending_[page].empty() ? PageState::kReadOnly : PageState::kInvalid;
+    d.bytes = twins_.close(page, e, after).diff;
     ctx_.stats->counter("lrc.diff_bytes_created").add(d.bytes.size());
     diff_cache_[page].push_back(std::move(d));
-    // Unseen remote writes exist: stay invalid so the next access fetches
-    // their diffs before reading.
-    page_io::set_state(ctx_, page, e,
-                       pending_[page].empty() ? PageState::kReadOnly : PageState::kInvalid);
   }
   interval_log_[ctx_.id].push_back(std::move(rec));
   ctx_.stats->counter("lrc.intervals").add();

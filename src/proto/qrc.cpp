@@ -130,9 +130,11 @@ void QrcProtocol::on_write_fault(PageId page) {
 }
 
 void QrcProtocol::flush_dirty() {
-  // A racer that takes an empty list still waits out `outstanding_` below —
-  // no release completes before every page dirtied under it is
-  // quorum-acknowledged.
+  // take() and registering the taken pages in `outstanding_` share one
+  // guard, so a racer that takes an empty list finds them registered and
+  // waits them out below: no release completes before every page dirtied
+  // under it is quorum-acknowledged.
+  RelockableMutexLock taking(take_mutex_);
   const std::vector<PageId> dirty = twins_.take();
   if (!dirty.empty()) {
     ctx_.stats->counter("qrc.flushes").add();
@@ -143,16 +145,15 @@ void QrcProtocol::flush_dirty() {
       std::size_t diff_bytes = 0;
       {
         const MutexLock lock(e.mutex);
-        const auto closed = twins_.close(page, e);
+        // Drop the copy outright (ERC keeps it read-only). A copy served by
+        // a since-failed primary may miss invalidations from its successor;
+        // re-fetching after every release closes that staleness window.
+        const auto closed = twins_.close(page, e, PageState::kInvalid);
         diff_bytes = closed.diff.size();
         // Always the value form: a failover may re-send this flush to a new
         // primary whose base already includes it — the value form re-applies
         // idempotently, the XOR form would un-apply it.
         field = page_io::pack_diff_field(ctx_, closed.diff);
-        // Drop the copy outright (ERC keeps it read-only). A copy served by
-        // a since-failed primary may miss invalidations from its successor;
-        // re-fetching after every release closes that staleness window.
-        page_io::set_state(ctx_, page, e, PageState::kInvalid);
       }
       ctx_.stats->counter("qrc.diff_bytes").add(diff_bytes);
       const NodeId target = primary_of(page);
@@ -163,6 +164,7 @@ void QrcProtocol::flush_dirty() {
       ctx_.send(MsgType::kReplWrite, target, data_msg(page, field, ctx_.id));
     }
   }
+  taking.unlock();
   RelockableMutexLock lock(flush_mutex_);
   while (!outstanding_.empty()) flush_cv_.wait(flush_mutex_);
 }

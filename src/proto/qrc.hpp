@@ -137,6 +137,9 @@ class QrcProtocol final : public Protocol {
   // --- client state ---------------------------------------------------------
   TwinSet twins_;
 
+  // Held by a release from taking the dirty list through registering its
+  // pages below (flush_dirty).
+  Mutex take_mutex_ ACQUIRED_BEFORE(lock_order::fabric_gate);
   // Outstanding release flushes: registered by the app thread, retired by
   // the service thread (ack), re-targeted by the service thread (failover).
   Mutex flush_mutex_ ACQUIRED_BEFORE(lock_order::fabric_gate);

@@ -22,13 +22,22 @@ std::vector<PageId> TwinSet::take() {
   return out;
 }
 
+std::vector<PageId> TwinSet::take(AckCount& acks) {
+  std::vector<PageId> out;
+  const MutexLock lock(mutex_);
+  out.swap(dirty_);
+  acks.expect(static_cast<int>(out.size()));
+  return out;
+}
+
 void TwinSet::clear() {
   const MutexLock lock(mutex_);
   dirty_.clear();
 }
 
-TwinSet::Closed TwinSet::close(PageId page, PageEntry& e) {
+TwinSet::Closed TwinSet::close(PageId page, PageEntry& e, PageState after) {
   DSM_CHECK(e.dirty && e.twin != nullptr);
+  if (e.state != PageState::kInvalid) page_io::set_state(ctx_, page, e, after);
   Closed out;
   out.diff = encode_diff(ctx_.view->alias_span(page), {e.twin.get(), ctx_.cfg->page_size});
   out.twin = std::move(e.twin);

@@ -18,6 +18,8 @@
 
 namespace dsm {
 
+class AckCount;
+
 /// A node's open write intervals: the twins in its page entries plus the
 /// list of pages dirtied since the last release.
 class TwinSet {
@@ -48,6 +50,11 @@ class TwinSet {
   /// owns flushing it; another app thread may be dirtying or flushing
   /// concurrently.
   std::vector<PageId> take();
+  /// take(), registering one expected ack per taken page in `acks` under
+  /// the same guard: a racing release that takes an empty list then finds
+  /// these acks registered and waits them out, so no release completes
+  /// before every page dirtied under it is acknowledged.
+  std::vector<PageId> take(AckCount& acks);
   void clear();
 
   /// A page's closed interval: its diff against the twin, and the twin.
@@ -55,11 +62,15 @@ class TwinSet {
     std::vector<std::byte> diff;
     std::unique_ptr<std::byte[]> twin;
   };
-  /// Ends the page's interval: encodes its diff and drops the twin and the
-  /// dirty bit. Reads through the service window — the copy may have been
-  /// revoked while dirty, and a fault here would self-deadlock. The caller
-  /// then moves the page to its protocol's post-release state.
-  Closed close(PageId page, PageEntry& e) REQUIRES(e.mutex);
+  /// Ends the page's interval: moves a readable copy to `after` (its
+  /// protocol's post-release state; an invalid copy stays invalid), then
+  /// encodes its diff and drops the twin and the dirty bit. Protect before
+  /// encode: another app thread of this node may still be storing to the
+  /// page, and a store between the encode and the protect would land in
+  /// neither this diff nor a new twin. Reads through the service window —
+  /// the copy may have been revoked while dirty, and a fault here would
+  /// self-deadlock.
+  Closed close(PageId page, PageEntry& e, PageState after) REQUIRES(e.mutex);
 
   /// Applies `diff` to the page's bytes and, mid-write, to its twin, so the
   /// writer's own next diff excludes these words. Through the service
@@ -92,7 +103,8 @@ class TwinSet {
   const NodeContext& ctx_;
   // Appended under a page's entry mutex by whichever thread services a
   // write fault (uffd executors run several concurrently), swapped out by
-  // a release that then takes protocol mutexes: its own leaf mutex.
+  // a release that then takes protocol mutexes: its own mutex, held only
+  // around the list and, in take(AckCount&), an AckCount's.
   Mutex mutex_ ACQUIRED_BEFORE(lock_order::fabric_gate);
   std::vector<PageId> dirty_ GUARDED_BY(mutex_);
 };

@@ -10,15 +10,16 @@ namespace {
 
 // Payload layouts:
 //   kLockRequest   : u32 lock | u32 origin | u8 mode | bytes protocol payload
-//                    mode: 0 = mutex fresh, 1 = mutex forwarded,
-//                          2 = rw read, 3 = rw write
+//                    mode: 0 = forward-chain fresh, 1 = forward-chain
+//                          forwarded, 2 = read, 3 = write (home-managed; a
+//                          centralized mutex is a write)
 //   kLockGrant     : u32 lock | bytes protocol payload
 //   kLockRelease   : u32 lock | u8 mode | bytes protocol payload
-//                    mode: 0 = mutex (centralized), 2 = rw read, 3 = rw write
+//                    mode: 2 = read, 3 = write (home-managed modes only)
 //   kBarrierArrive : u32 barrier | u8 phase | bytes protocol payload
 //   kBarrierRelease: u32 barrier | u8 phase | bytes protocol payload
 
-constexpr std::uint8_t kModeMutex = 0;
+constexpr std::uint8_t kModeFresh = 0;
 constexpr std::uint8_t kModeForwarded = 1;
 constexpr std::uint8_t kModeRead = 2;
 constexpr std::uint8_t kModeWrite = 3;
@@ -39,6 +40,10 @@ LockReq parse_lock_request(const Message& msg) {
   req.payload = r.get_bytes();
   DSM_CHECK(r.done());
   return req;
+}
+
+DsmChecker::LockMode check_mode(std::uint8_t mode) {
+  return mode == kModeRead ? DsmChecker::LockMode::kRead : DsmChecker::LockMode::kWrite;
 }
 
 }  // namespace
@@ -91,9 +96,37 @@ void SyncAgent::on_message(const Message& msg) {
 // Locks: application-thread side
 // --------------------------------------------------------------------------
 
+std::uint8_t SyncAgent::mutex_mode() const {
+  return ctx_.cfg->lock_policy == LockPolicy::kForwardChain ? kModeFresh : kModeWrite;
+}
+
 void SyncAgent::acquire(LockId lock) {
-  DSM_CHECK_MSG(lock < local_.size(), "lock id " << lock << " out of range");
   ctx_.stats->counter("sync.lock_acquires").add();
+  acquire_as(lock, mutex_mode(), "lock-acquire");
+}
+
+void SyncAgent::release(LockId lock) {
+  const TraceScope span(ctx_.trace, ctx_.id, TraceCat::kSync, "lock-release",
+                        ctx_.clock, "lock", lock);
+  release_as(lock, mutex_mode());
+}
+
+void SyncAgent::acquire_read(LockId lock) {
+  ctx_.stats->counter("sync.rw_read_acquires").add();
+  acquire_as(lock, kModeRead, "rw-acquire-read");
+}
+
+void SyncAgent::release_read(LockId lock) { release_as(lock, kModeRead); }
+
+void SyncAgent::acquire_write(LockId lock) {
+  ctx_.stats->counter("sync.rw_write_acquires").add();
+  acquire_as(lock, kModeWrite, "rw-acquire-write");
+}
+
+void SyncAgent::release_write(LockId lock) { release_as(lock, kModeWrite); }
+
+void SyncAgent::acquire_as(LockId lock, std::uint8_t mode, const char* span_name) {
+  DSM_CHECK_MSG(lock < local_.size(), "lock id " << lock << " out of range");
   {
     RelockableMutexLock guard(mutex_);
     auto& L = local_[lock];
@@ -105,14 +138,13 @@ void SyncAgent::acquire(LockId lock) {
     while (L.busy) cv_.wait(mutex_);
     L.busy = true;
     L.owner_ktid = current_ktid();
-    if (ctx_.cfg->lock_policy == LockPolicy::kForwardChain && L.have_token) {
+    if (mode == kModeFresh && L.have_token) {
       // Lock caching: we were the last holder and nobody asked since.
       DSM_CHECK(!L.successor.has_value());
-      L.in_cs = true;
+      L.held = mode;
       ctx_.stats->counter("sync.local_acquires").add();
       if (ctx_.check != nullptr) {
-        ctx_.check->on_lock_acquired(ctx_.id, self_tid(), lock,
-                                     DsmChecker::LockMode::kMutex);
+        ctx_.check->on_lock_acquired(ctx_.id, self_tid(), lock, check_mode(mode));
       }
       return;
     }
@@ -121,14 +153,14 @@ void SyncAgent::acquire(LockId lock) {
   const VirtualTime t0 = ctx_.clock->now();
   // Slow path only: cached re-acquires above never wait, so the span set
   // measures genuine handoff latency (bench_locks reads these).
-  const TraceScope span(ctx_.trace, ctx_.id, TraceCat::kSync, "lock-acquire",
-                        ctx_.clock, "lock", lock);
+  const TraceScope span(ctx_.trace, ctx_.id, TraceCat::kSync, span_name, ctx_.clock,
+                        "lock", lock);
   WireWriter req(32);
   protocol_.fill_lock_request(lock, req);
   WireWriter w(req.size() + 16);
   w.put(lock);
   w.put(ctx_.id);
-  w.put(kModeMutex);
+  w.put(mode);
   w.put_bytes(std::move(req).take());
   ctx_.send(MsgType::kLockRequest, ctx_.lock_home(lock), std::move(w).take());
 
@@ -136,288 +168,63 @@ void SyncAgent::acquire(LockId lock) {
   auto& L = local_[lock];
   while (!L.granted) cv_.wait(mutex_);
   L.granted = false;
-  L.have_token = true;
-  L.in_cs = true;
+  if (mode == kModeFresh) L.have_token = true;
+  L.held = mode;
   if (ctx_.check != nullptr) {
-    ctx_.check->on_lock_acquired(ctx_.id, self_tid(), lock,
-                                 DsmChecker::LockMode::kMutex);
+    ctx_.check->on_lock_acquired(ctx_.id, self_tid(), lock, check_mode(mode));
   }
   ctx_.stats->histogram("sync.lock_wait_ns").record(ctx_.clock->now() - t0);
 }
 
-void SyncAgent::release(LockId lock) {
+void SyncAgent::release_as(LockId lock, std::uint8_t mode) {
   DSM_CHECK_MSG(lock < local_.size(), "lock id " << lock << " out of range");
-  const TraceScope span(ctx_.trace, ctx_.id, TraceCat::kSync, "lock-release",
-                        ctx_.clock, "lock", lock);
   // Consistency actions must complete before anyone else can hold the lock.
+  // (A reader may have written *other* data; flushing it keeps a read
+  // release a proper release for the consistency protocol too.)
   protocol_.before_release(lock);
   // Hook after the consistency flush but before any grant can be sent: the
   // checker's release edge must precede the next acquirer's acquire edge.
   if (ctx_.check != nullptr) {
-    ctx_.check->on_lock_released(ctx_.id, self_tid(), lock,
-                                 DsmChecker::LockMode::kMutex);
+    ctx_.check->on_lock_released(ctx_.id, self_tid(), lock, check_mode(mode));
   }
-
-  if (ctx_.cfg->lock_policy == LockPolicy::kForwardChain) {
-    std::optional<Message> successor;
-    {
-      const MutexLock guard(mutex_);
-      auto& L = local_[lock];
-      DSM_CHECK_MSG(L.in_cs, "release of lock " << lock << " not held");
-      L.in_cs = false;
-      L.busy = false;
-      L.owner_ktid = 0;
-      if (L.successor.has_value()) {
-        successor = std::move(L.successor);
-        L.successor.reset();
-        L.have_token = false;
-      }
-      // else: keep the token; a later request will be forwarded to us.
-    }
-    cv_.notify_all();
-    if (successor.has_value()) {
-      const auto req = parse_lock_request(*successor);
-      send_grant(lock, req.origin, req.payload);
-    }
-    return;
-  }
-
-  // Centralized: hand the token (and the release payload) back to the home.
+  std::optional<Message> successor;
   {
     const MutexLock guard(mutex_);
     auto& L = local_[lock];
-    DSM_CHECK_MSG(L.in_cs, "release of lock " << lock << " not held");
-    L.in_cs = false;
-    L.have_token = false;
+    DSM_CHECK_MSG(L.held == mode, "release of lock " << lock
+                                      << (mode == kModeRead ? " not read-held" : " not held"));
+    L.held.reset();
+    if (L.successor.has_value()) {
+      successor = std::move(L.successor);
+      L.successor.reset();
+      L.have_token = false;
+    }
+    // else (forward-chain): keep the token; a later request will be
+    // forwarded to us.
+  }
+  if (mode != kModeFresh) {
+    // Home-managed: hand the grant (and the release payload) back to the home.
+    WireWriter payload(64);
+    protocol_.fill_lock_grant(lock, kNoNode, {}, payload);
+    WireWriter w(payload.size() + 16);
+    w.put(lock);
+    w.put(mode);
+    w.put_bytes(std::move(payload).take());
+    ctx_.send(MsgType::kLockRelease, ctx_.lock_home(lock), std::move(w).take());
+  } else if (successor.has_value()) {
+    const auto req = parse_lock_request(*successor);
+    send_grant(lock, req.origin, req.payload);
+  }
+  // Open the gate only once the release is on the wire: the link is FIFO, so
+  // the home never sees a sibling's request from this node ahead of the
+  // release it follows (the home keeps one hold per node).
+  {
+    const MutexLock guard(mutex_);
+    auto& L = local_[lock];
     L.busy = false;
     L.owner_ktid = 0;
   }
   cv_.notify_all();
-  WireWriter payload(64);
-  protocol_.fill_lock_grant(lock, kNoNode, {}, payload);
-  WireWriter w(payload.size() + 16);
-  w.put(lock);
-  w.put(kModeMutex);
-  w.put_bytes(std::move(payload).take());
-  ctx_.send(MsgType::kLockRelease, ctx_.lock_home(lock), std::move(w).take());
-}
-
-// --------------------------------------------------------------------------
-// Reader-writer locks (always home-managed; no token caching)
-// --------------------------------------------------------------------------
-
-void SyncAgent::acquire_read(LockId lock) {
-  DSM_CHECK_MSG(lock < local_.size(), "lock id " << lock << " out of range");
-  ctx_.stats->counter("sync.rw_read_acquires").add();
-  const VirtualTime t0 = ctx_.clock->now();
-  const TraceScope span(ctx_.trace, ctx_.id, TraceCat::kSync, "rw-acquire-read",
-                        ctx_.clock, "lock", lock);
-  {
-    RelockableMutexLock guard(mutex_);
-    auto& L = local_[lock];
-    DSM_CHECK_MSG(!(L.busy && L.owner_ktid == current_ktid()),
-                  "rw lock " << lock << " already held here");
-    while (L.busy) cv_.wait(mutex_);
-    L.busy = true;
-    L.owner_ktid = current_ktid();
-  }
-  WireWriter req(32);
-  protocol_.fill_lock_request(lock, req);
-  WireWriter w(req.size() + 16);
-  w.put(lock);
-  w.put(ctx_.id);
-  w.put(kModeRead);
-  w.put_bytes(std::move(req).take());
-  ctx_.send(MsgType::kLockRequest, ctx_.lock_home(lock), std::move(w).take());
-
-  RelockableMutexLock guard(mutex_);
-  auto& L = local_[lock];
-  while (!L.granted) cv_.wait(mutex_);
-  L.granted = false;
-  L.in_read_cs = true;
-  if (ctx_.check != nullptr) {
-    ctx_.check->on_lock_acquired(ctx_.id, self_tid(), lock,
-                                 DsmChecker::LockMode::kRead);
-  }
-  ctx_.stats->histogram("sync.lock_wait_ns").record(ctx_.clock->now() - t0);
-}
-
-void SyncAgent::release_read(LockId lock) {
-  // Conservative: a reader may have written *other* data; flush it so this
-  // release is a proper release for the consistency protocol too.
-  protocol_.before_release(lock);
-  if (ctx_.check != nullptr) {
-    ctx_.check->on_lock_released(ctx_.id, self_tid(), lock,
-                                 DsmChecker::LockMode::kRead);
-  }
-  {
-    const MutexLock guard(mutex_);
-    auto& L = local_[lock];
-    DSM_CHECK_MSG(L.in_read_cs, "release_read of lock " << lock << " not read-held");
-    L.in_read_cs = false;
-    L.busy = false;
-    L.owner_ktid = 0;
-  }
-  cv_.notify_all();
-  WireWriter payload(64);
-  protocol_.fill_lock_grant(lock, kNoNode, {}, payload);
-  WireWriter w(payload.size() + 16);
-  w.put(lock);
-  w.put(kModeRead);
-  w.put_bytes(std::move(payload).take());
-  ctx_.send(MsgType::kLockRelease, ctx_.lock_home(lock), std::move(w).take());
-}
-
-void SyncAgent::acquire_write(LockId lock) {
-  DSM_CHECK_MSG(lock < local_.size(), "lock id " << lock << " out of range");
-  ctx_.stats->counter("sync.rw_write_acquires").add();
-  const VirtualTime t0 = ctx_.clock->now();
-  const TraceScope span(ctx_.trace, ctx_.id, TraceCat::kSync, "rw-acquire-write",
-                        ctx_.clock, "lock", lock);
-  {
-    RelockableMutexLock guard(mutex_);
-    auto& L = local_[lock];
-    DSM_CHECK_MSG(!(L.busy && L.owner_ktid == current_ktid()),
-                  "rw lock " << lock << " already held here");
-    while (L.busy) cv_.wait(mutex_);
-    L.busy = true;
-    L.owner_ktid = current_ktid();
-  }
-  WireWriter req(32);
-  protocol_.fill_lock_request(lock, req);
-  WireWriter w(req.size() + 16);
-  w.put(lock);
-  w.put(ctx_.id);
-  w.put(kModeWrite);
-  w.put_bytes(std::move(req).take());
-  ctx_.send(MsgType::kLockRequest, ctx_.lock_home(lock), std::move(w).take());
-
-  RelockableMutexLock guard(mutex_);
-  auto& L = local_[lock];
-  while (!L.granted) cv_.wait(mutex_);
-  L.granted = false;
-  L.in_cs = true;
-  if (ctx_.check != nullptr) {
-    ctx_.check->on_lock_acquired(ctx_.id, self_tid(), lock,
-                                 DsmChecker::LockMode::kWrite);
-  }
-  ctx_.stats->histogram("sync.lock_wait_ns").record(ctx_.clock->now() - t0);
-}
-
-void SyncAgent::release_write(LockId lock) {
-  protocol_.before_release(lock);
-  if (ctx_.check != nullptr) {
-    ctx_.check->on_lock_released(ctx_.id, self_tid(), lock,
-                                 DsmChecker::LockMode::kWrite);
-  }
-  {
-    const MutexLock guard(mutex_);
-    auto& L = local_[lock];
-    DSM_CHECK_MSG(L.in_cs, "release_write of lock " << lock << " not write-held");
-    L.in_cs = false;
-    L.busy = false;
-    L.owner_ktid = 0;
-  }
-  cv_.notify_all();
-  WireWriter payload(64);
-  protocol_.fill_lock_grant(lock, kNoNode, {}, payload);
-  WireWriter w(payload.size() + 16);
-  w.put(lock);
-  w.put(kModeWrite);
-  w.put_bytes(std::move(payload).take());
-  ctx_.send(MsgType::kLockRelease, ctx_.lock_home(lock), std::move(w).take());
-}
-
-void SyncAgent::handle_rw_request(const Message& msg, LockId lock, NodeId origin,
-                                  bool write, std::span<const std::byte> /*payload*/) {
-  DSM_CHECK(ctx_.lock_home(lock) == ctx_.id);
-  bool grant_now = false;
-  {
-    const MutexLock guard(mutex_);
-    auto& H = home_[lock];
-    if (write) {
-      if (H.rw_writer_active || H.readers_active > 0) {
-        H.rw_write_queue.push_back(msg);
-        ctx_.stats->counter("sync.lock_queued").add();
-      } else {
-        H.rw_writer_active = true;
-        grant_now = true;
-      }
-    } else {
-      // Queued writers block new readers (no writer starvation).
-      if (H.rw_writer_active || !H.rw_write_queue.empty()) {
-        H.rw_read_queue.push_back(msg);
-        ctx_.stats->counter("sync.lock_queued").add();
-      } else {
-        ++H.readers_active;
-        H.rw_readers.insert(origin);
-        grant_now = true;
-      }
-    }
-    if (grant_now && write) H.rw_writer = origin;
-  }
-  if (grant_now) send_grant_centralized(lock, origin);
-}
-
-void SyncAgent::handle_rw_release(LockId lock, bool write,
-                                  std::span<const std::byte> payload, NodeId from) {
-  {
-    const MutexLock guard(mutex_);
-    auto& H = home_[lock];
-    // FT: stale release from a dead node whose grant was already regenerated.
-    if (ctx_.cfg->ft.enabled &&
-        (write ? H.rw_writer != from : H.rw_readers.find(from) == H.rw_readers.end())) {
-      return;
-    }
-    // Knowledge dumps only grow between GCs, so the latest release payload
-    // (reader or writer) always covers every prior one.
-    H.release_payload.assign(payload.begin(), payload.end());
-    if (write) {
-      DSM_CHECK(H.rw_writer_active);
-      H.rw_writer_active = false;
-      H.rw_writer = kNoNode;
-    } else {
-      DSM_CHECK(H.readers_active > 0);
-      --H.readers_active;
-      H.rw_readers.erase(from);
-    }
-  }
-  rw_drain_queues(lock);
-}
-
-void SyncAgent::rw_drain_queues(LockId lock) {
-  // Writer preference: a queued writer goes next once readers drain;
-  // otherwise admit every queued reader at once.
-  std::vector<Message> grants;
-  bool write_grant = false;
-  {
-    const MutexLock guard(mutex_);
-    auto& H = home_[lock];
-    if (H.rw_writer_active) return;
-    if (!H.rw_write_queue.empty()) {
-      if (H.readers_active > 0) return;  // writer waits for readers to drain
-      grants.push_back(std::move(H.rw_write_queue.front()));
-      H.rw_write_queue.pop_front();
-      H.rw_writer_active = true;
-      write_grant = true;
-    } else {
-      while (!H.rw_read_queue.empty()) {
-        grants.push_back(std::move(H.rw_read_queue.front()));
-        H.rw_read_queue.pop_front();
-        ++H.readers_active;
-      }
-    }
-  }
-  for (const auto& g : grants) {
-    const auto req = parse_lock_request(g);
-    {
-      const MutexLock guard(mutex_);
-      auto& H = home_[lock];
-      if (write_grant) H.rw_writer = req.origin;
-      else H.rw_readers.insert(req.origin);
-    }
-    send_grant_centralized(lock, req.origin);
-  }
 }
 
 // --------------------------------------------------------------------------
@@ -432,55 +239,79 @@ void SyncAgent::handle_lock_request(const Message& msg) {
   // token would be lost with no second regeneration coming.
   if (ctx_.cfg->ft.enabled && !ctx_.net->liveness().worker_live(req.origin)) return;
 
-  if (req.mode == kModeRead || req.mode == kModeWrite) {
-    handle_rw_request(msg, req.lock, req.origin, req.mode == kModeWrite, req.payload);
+  if (req.mode == kModeFresh) {
+    DSM_CHECK(ctx_.lock_home(req.lock) == ctx_.id);
+    route_to_tail(req.lock, req.origin, req.payload);
     return;
   }
-
-  if (ctx_.cfg->lock_policy == LockPolicy::kCentralized) {
-    DSM_CHECK(ctx_.lock_home(req.lock) == ctx_.id);
+  if (req.mode == kModeForwarded) {
+    // Holder side: we are (or are about to become) the previous holder.
     bool grant_now = false;
     {
       const MutexLock guard(mutex_);
-      auto& H = home_[req.lock];
-      if (H.held) {
-        H.waiting.push_back(msg);
-        ctx_.stats->counter("sync.lock_queued").add();
-      } else {
-        H.held = true;
-        H.holder = req.origin;
+      auto& L = local_[req.lock];
+      if (L.have_token && !L.held.has_value()) {
+        L.have_token = false;
         grant_now = true;
+      } else {
+        DSM_CHECK_MSG(!L.successor.has_value(),
+                      "two successors for lock " << req.lock << " at node " << ctx_.id);
+        L.successor = msg;
       }
     }
-    if (grant_now) send_grant_centralized(req.lock, req.origin);
+    if (grant_now) send_grant(req.lock, req.origin, req.payload);
     return;
   }
 
-  // Forward-chain.
-  if (req.mode != kModeForwarded) {
-    DSM_CHECK(ctx_.lock_home(req.lock) == ctx_.id);
-    route_to_tail(msg, req.lock, req.origin);
-    return;
-  }
-
-  // Holder side: we are (or are about to become) the previous holder.
-  bool grant_now = false;
+  // Home-managed (read, write, centralized mutex): queue, then admit.
+  DSM_CHECK(ctx_.lock_home(req.lock) == ctx_.id);
+  std::vector<NodeId> grants;
   {
     const MutexLock guard(mutex_);
-    auto& L = local_[req.lock];
-    if (L.have_token && !L.in_cs) {
-      L.have_token = false;
-      grant_now = true;
-    } else {
-      DSM_CHECK_MSG(!L.successor.has_value(),
-                    "two successors for lock " << req.lock << " at node " << ctx_.id);
-      L.successor = msg;
-    }
+    auto& H = home_[req.lock];
+    (req.mode == kModeWrite ? H.write_queue : H.read_queue).push_back(req.origin);
+    grants = admit(H);
   }
-  if (grant_now) send_grant(req.lock, req.origin, req.payload);
+  // Nothing else was admissible before this request, so an empty admission
+  // means the request itself waits.
+  if (grants.empty()) ctx_.stats->counter("sync.lock_queued").add();
+  send_home_grants(req.lock, grants);
 }
 
-void SyncAgent::route_to_tail(const Message& msg, LockId lock, NodeId origin) {
+std::vector<NodeId> SyncAgent::admit(HomeLock& H) {
+  std::vector<NodeId> grants;
+  if (H.writer != kNoNode) return grants;
+  if (!H.write_queue.empty()) {
+    if (!H.readers.empty()) return grants;  // writer waits for readers to drain
+    H.writer = H.write_queue.front();
+    H.write_queue.pop_front();
+    grants.push_back(H.writer);
+    return grants;
+  }
+  for (const NodeId reader : H.read_queue) {
+    H.readers.insert(reader);
+    grants.push_back(reader);
+  }
+  H.read_queue.clear();
+  return grants;
+}
+
+void SyncAgent::send_home_grants(LockId lock, const std::vector<NodeId>& to) {
+  if (to.empty()) return;
+  std::vector<std::byte> stored;
+  {
+    const MutexLock guard(mutex_);
+    stored = home_[lock].release_payload;
+  }
+  for (const NodeId origin : to) {
+    WireWriter w(stored.size() + 8);
+    w.put(lock);
+    w.put_bytes(stored);
+    ctx_.send(MsgType::kLockGrant, origin, std::move(w).take());
+  }
+}
+
+void SyncAgent::route_to_tail(LockId lock, NodeId origin, std::span<const std::byte> payload) {
   NodeId previous_tail;
   {
     const MutexLock guard(mutex_);
@@ -491,11 +322,6 @@ void SyncAgent::route_to_tail(const Message& msg, LockId lock, NodeId origin) {
   DSM_CHECK_MSG(previous_tail != origin,
                 "lock " << lock << ": chain tail re-requesting without token");
   // Re-encode with the forwarded flag set; the protocol payload rides along.
-  WireReader r(msg.payload);
-  r.get<LockId>();
-  r.get<NodeId>();
-  r.get<std::uint8_t>();
-  const auto payload = r.get_bytes();
   WireWriter w(payload.size() + 16);
   w.put(lock);
   w.put(origin);
@@ -511,18 +337,6 @@ void SyncAgent::send_grant(LockId lock, NodeId origin,
   WireWriter w(payload.size() + 8);
   w.put(lock);
   w.put_bytes(std::move(payload).take());
-  ctx_.send(MsgType::kLockGrant, origin, std::move(w).take());
-}
-
-void SyncAgent::send_grant_centralized(LockId lock, NodeId origin) {
-  std::vector<std::byte> stored;
-  {
-    const MutexLock guard(mutex_);
-    stored = home_[lock].release_payload;
-  }
-  WireWriter w(stored.size() + 8);
-  w.put(lock);
-  w.put_bytes(stored);
   ctx_.send(MsgType::kLockGrant, origin, std::move(w).take());
 }
 
@@ -545,38 +359,28 @@ void SyncAgent::handle_lock_release(const Message& msg) {
   const auto mode = r.get<std::uint8_t>();
   const auto payload = r.get_bytes();
   DSM_CHECK(ctx_.lock_home(lock) == ctx_.id);
+  DSM_CHECK(mode == kModeRead || mode == kModeWrite);
 
-  if (mode == kModeRead || mode == kModeWrite) {
-    handle_rw_release(lock, mode == kModeWrite, payload, msg.src);
-    return;
-  }
-  DSM_CHECK(ctx_.cfg->lock_policy == LockPolicy::kCentralized);
-
-  std::optional<Message> next;
+  std::vector<NodeId> grants;
   {
     const MutexLock guard(mutex_);
     auto& H = home_[lock];
+    const bool holds = mode == kModeWrite ? H.writer == msg.src : H.readers.contains(msg.src);
     // FT: the holder died and its kPeerDown overtook this release in our
-    // mailbox — the token was already regenerated, so the release is stale.
-    if (ctx_.cfg->ft.enabled && (!H.held || H.holder != msg.src)) return;
-    DSM_CHECK(H.held);
+    // mailbox — its grant was already regenerated, so the release is stale.
+    if (!holds && ctx_.cfg->ft.enabled) return;
+    DSM_CHECK(holds);
+    // Knowledge dumps only grow between GCs, so the latest release payload
+    // (reader or writer) always covers every prior one.
     H.release_payload.assign(payload.begin(), payload.end());
-    if (H.waiting.empty()) {
-      H.held = false;
-      H.holder = kNoNode;
+    if (mode == kModeWrite) {
+      H.writer = kNoNode;
     } else {
-      next = std::move(H.waiting.front());
-      H.waiting.pop_front();
+      H.readers.erase(msg.src);
     }
+    grants = admit(H);
   }
-  if (next.has_value()) {
-    const auto req = parse_lock_request(*next);
-    {
-      const MutexLock guard(mutex_);
-      home_[lock].holder = req.origin;
-    }
-    send_grant_centralized(lock, req.origin);
-  }
+  send_home_grants(lock, grants);
 }
 
 // --------------------------------------------------------------------------
@@ -735,62 +539,25 @@ void SyncAgent::on_peer_down(NodeId peer) {
   // Lock state lives at each lock's home (node 0 under FT, which is never a
   // kill victim), so only the home acts here. Re-running after a duplicate
   // death announcement is safe: the holder fields were already cleared.
-  const auto purge = [&](std::deque<Message>& q) {
-    for (auto it = q.begin(); it != q.end();) {
-      if (parse_lock_request(*it).origin == peer) {
-        it = q.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
   for (LockId l = 0; l < ctx_.cfg->n_locks; ++l) {
     if (ctx_.lock_home(l) != ctx_.id) continue;
-    std::optional<Message> next;
-    bool drain_rw = false;
+    std::vector<NodeId> grants;
     {
       const MutexLock guard(mutex_);
       auto& H = home_[l];
-      purge(H.waiting);
-      purge(H.rw_read_queue);
-      purge(H.rw_write_queue);
-      if (H.held && H.holder == peer) {
+      std::erase(H.read_queue, peer);
+      std::erase(H.write_queue, peer);
+      const bool was_writer = H.writer == peer;
+      if (was_writer) H.writer = kNoNode;
+      if (was_writer || H.readers.erase(peer) > 0) {
         // The holder died inside its critical section: mint a replacement
-        // token, exactly once (the checker audits the exactly-once part).
+        // grant, exactly once (the checker audits the exactly-once part).
         ctx_.stats->counter("ft.token_regens").add();
         if (ctx_.check != nullptr) ctx_.check->on_token_regenerated(l, peer);
-        H.holder = kNoNode;
-        if (H.waiting.empty()) {
-          H.held = false;
-        } else {
-          next = std::move(H.waiting.front());
-          H.waiting.pop_front();
-        }
       }
-      if (H.rw_writer_active && H.rw_writer == peer) {
-        ctx_.stats->counter("ft.token_regens").add();
-        if (ctx_.check != nullptr) ctx_.check->on_token_regenerated(l, peer);
-        H.rw_writer_active = false;
-        H.rw_writer = kNoNode;
-        drain_rw = true;
-      }
-      if (H.rw_readers.erase(peer) > 0) {
-        DSM_CHECK(H.readers_active > 0);
-        --H.readers_active;
-        ctx_.stats->counter("ft.token_regens").add();
-        if (ctx_.check != nullptr) ctx_.check->on_token_regenerated(l, peer);
-        drain_rw = true;
-      }
+      grants = admit(H);
     }
-    if (next.has_value()) {
-      const auto req = parse_lock_request(*next);
-      {
-        const MutexLock guard(mutex_);
-        home_[l].holder = req.origin;
-      }
-      send_grant_centralized(l, req.origin);
-    }
-    if (drain_rw) rw_drain_queues(l);
+    send_home_grants(l, grants);
   }
   // A dead worker shrinks the rendezvous: a round it never arrived at may
   // now be complete with the arrivals already collected.

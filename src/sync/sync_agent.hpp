@@ -13,6 +13,8 @@
 // Lock policies (compared by bench_locks, F5):
 //   * kCentralized — request/grant/release all via the lock's home node;
 //     the home stores the last release payload and ships it with grants.
+//     A centralized mutex is the write mode of the home-managed
+//     reader-writer lock: one home state machine serves both.
 //   * kForwardChain — the home only remembers the chain tail and forwards
 //     each request to it; grants flow holder → next holder directly, and an
 //     uncontended re-acquire by the last holder is free (lock caching).
@@ -38,15 +40,15 @@ class SyncAgent {
   // --- application-thread operations --------------------------------------
   void acquire(LockId lock);
   void release(LockId lock);
-  /// Reader-writer mode: any number of concurrent readers OR one writer
-  /// (via the plain acquire/release above on the same lock id). Managed at
-  /// the lock's home under every policy; queued writers block new readers.
-  /// Grants carry the same consistency payload as write grants, so a reader
-  /// sees everything the last writer released.
+  /// Reader-writer mode: any number of concurrent readers OR one writer.
+  /// Managed at the lock's home under every policy; queued writers block new
+  /// readers. Grants carry the same consistency payload as write grants, so
+  /// a reader sees everything the last writer released.
   void acquire_read(LockId lock);
   void release_read(LockId lock);
-  /// The writer side of reader-writer mode. (Distinct from acquire():
-  /// rw locks are always home-managed and never cache the token.)
+  /// The writer side of reader-writer mode. (Distinct from acquire() under
+  /// forward-chain: rw locks are always home-managed and never cache the
+  /// token. Under kCentralized the two are the same operation.)
   void acquire_write(LockId lock);
   void release_write(LockId lock);
   void barrier(BarrierId barrier);
@@ -73,26 +75,20 @@ class SyncAgent {
 
  private:
   struct HomeLock {
-    bool held = false;                        // centralized: token is out
-    NodeId holder = kNoNode;                  // centralized: who holds it (FT)
-    std::deque<Message> waiting;              // centralized: queued requests
-    std::vector<std::byte> release_payload;   // centralized: last release's payload
+    // Home-managed modes. A lock id is used in either mutex mode or rw mode
+    // by the application, not both at once.
+    NodeId writer = kNoNode;
+    std::set<NodeId> readers;  // one hold per node: its gate orders them
+    std::deque<NodeId> read_queue;            // requester ids, FIFO
+    std::deque<NodeId> write_queue;
+    std::vector<std::byte> release_payload;   // last release's payload
     NodeId tail = kNoNode;                    // forward-chain: last requester
-    // Reader-writer extension (always home-managed). A lock id is used in
-    // either mutex mode or rw mode by the application, not both at once.
-    std::uint32_t readers_active = 0;
-    bool rw_writer_active = false;
-    NodeId rw_writer = kNoNode;               // FT: current writer identity
-    std::set<NodeId> rw_readers;              // FT: current reader identities
-    std::deque<Message> rw_read_queue;
-    std::deque<Message> rw_write_queue;
   };
   struct LocalLock {
-    bool have_token = false;
-    bool in_cs = false;       // between acquire() return and release() call
-    bool granted = false;     // grant arrived; app thread may resume
-    bool in_read_cs = false;  // between acquire_read() and release_read()
-    std::optional<Message> successor;  // forwarded request awaiting our release
+    bool have_token = false;            // forward-chain: the token is here
+    std::optional<std::uint8_t> held;   // request mode, acquire() return to release()
+    bool granted = false;               // grant arrived; app thread may resume
+    std::optional<Message> successor;   // forwarded request awaiting our release
     // Multi-threaded nodes: at most one app thread per (node, lock) may be
     // between acquire entry and release exit at a time. The gate keeps the
     // single request/grant/token plumbing above valid with N app threads —
@@ -104,16 +100,25 @@ class SyncAgent {
     std::uint32_t owner_ktid = 0;
   };
 
+  /// The request mode acquire()/release() use under the lock policy.
+  std::uint8_t mutex_mode() const;
+  /// App side, every mode: pass the node's per-lock gate, then take the
+  /// cached forward-chain token or request the lock and wait for the grant.
+  void acquire_as(LockId lock, std::uint8_t mode, const char* span_name);
+  /// App side, every mode: flush, then hand a forward-chain token to its
+  /// successor or return a home-managed grant (with the release payload),
+  /// and only then open the node's per-lock gate.
+  void release_as(LockId lock, std::uint8_t mode);
+
   void handle_lock_request(const Message& msg);
   void handle_lock_grant(const Message& msg);
   void handle_lock_release(const Message& msg);
-  /// Home-side reader-writer state machine (request modes 2/3, releases).
-  void handle_rw_request(const Message& msg, LockId lock, NodeId origin, bool write,
-                         std::span<const std::byte> payload);
-  void handle_rw_release(LockId lock, bool write, std::span<const std::byte> payload,
-                         NodeId from);
-  /// Grants every queued rw request that is now admissible.
-  void rw_drain_queues(LockId lock);
+  /// Home side: takes every queued request now admissible off its queue and
+  /// records its holder. Writer preference: a queued writer goes next once
+  /// readers drain; otherwise every queued reader is admitted at once.
+  std::vector<NodeId> admit(HomeLock& H) REQUIRES(mutex_);
+  /// Home side: grants `to` with the last release payload.
+  void send_home_grants(LockId lock, const std::vector<NodeId>& to);
   void handle_barrier_arrive(const Message& msg);
   void handle_barrier_release(const Message& msg);
   /// Manager: has every live worker arrived (phase 0) / acked (phase 1)?
@@ -128,10 +133,9 @@ class SyncAgent {
   ThreadId self_tid() const;
 
   /// Home-side (forward-chain): route a fresh request to the chain tail.
-  void route_to_tail(const Message& msg, LockId lock, NodeId origin);
-  /// Holder-side: grant the token to `origin` now.
+  void route_to_tail(LockId lock, NodeId origin, std::span<const std::byte> payload);
+  /// Holder-side (forward-chain): grant the token to `origin` now.
   void send_grant(LockId lock, NodeId origin, std::span<const std::byte> request_payload);
-  void send_grant_centralized(LockId lock, NodeId origin);
 
   NodeContext& ctx_;
   Protocol& protocol_;

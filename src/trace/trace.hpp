@@ -48,9 +48,10 @@ struct TraceConfig {
   /// Per-node ring capacity in spans, rounded up to a power of two. On
   /// overflow the oldest spans are dropped (accounted in `trace.dropped`).
   std::size_t buffer_spans = 1 << 13;
-  /// Spans per node included in the watchdog's diagnostic dump.
-  std::size_t dump_tail_spans = 16;
 };
+
+/// Spans per node included in the watchdog's diagnostic dump.
+inline constexpr std::size_t kDumpTailSpans = 16;
 
 /// One recorded span. `name`/`key0`/`key1` must be static strings (the
 /// tracer stores the pointers, not copies). A zero-width span (vstart ==

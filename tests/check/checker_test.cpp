@@ -95,23 +95,23 @@ TEST_F(CheckerTest, SameNodeAccessesAreProgramOrdered) {
 
 TEST_F(CheckerTest, ReleaseAcquireOrdersTheWrites) {
   auto chk = make();
-  chk->on_lock_acquired(0, 0, DsmChecker::LockMode::kMutex);
+  chk->on_lock_acquired(0, 0, DsmChecker::LockMode::kWrite);
   chk->on_access(0, 1, 0, true);
-  chk->on_lock_released(0, 0, DsmChecker::LockMode::kMutex);
-  chk->on_lock_acquired(1, 0, DsmChecker::LockMode::kMutex);
+  chk->on_lock_released(0, 0, DsmChecker::LockMode::kWrite);
+  chk->on_lock_acquired(1, 0, DsmChecker::LockMode::kWrite);
   chk->on_access(1, 1, 0, true);
-  chk->on_lock_released(1, 0, DsmChecker::LockMode::kMutex);
+  chk->on_lock_released(1, 0, DsmChecker::LockMode::kWrite);
   EXPECT_EQ(races(), 0u);
 }
 
 TEST_F(CheckerTest, ADifferentLockDoesNotOrderTheWrites) {
   auto chk = make();
-  chk->on_lock_acquired(0, 0, DsmChecker::LockMode::kMutex);
+  chk->on_lock_acquired(0, 0, DsmChecker::LockMode::kWrite);
   chk->on_access(0, 1, 0, true);
-  chk->on_lock_released(0, 0, DsmChecker::LockMode::kMutex);
-  chk->on_lock_acquired(1, 1, DsmChecker::LockMode::kMutex);
+  chk->on_lock_released(0, 0, DsmChecker::LockMode::kWrite);
+  chk->on_lock_acquired(1, 1, DsmChecker::LockMode::kWrite);
   chk->on_access(1, 1, 0, true);
-  chk->on_lock_released(1, 1, DsmChecker::LockMode::kMutex);
+  chk->on_lock_released(1, 1, DsmChecker::LockMode::kWrite);
   EXPECT_EQ(races(), 1u);
 }
 
@@ -144,21 +144,21 @@ TEST_F(CheckerTest, TransitiveHappensBeforeIsCarried) {
   chk->on_access(0, 1, 0, true);
   // 0 -> 1 via lock 0, then 1 -> 2 via lock 1: node 2 is ordered after
   // node 0's write it never directly synchronized with.
-  chk->on_lock_acquired(0, 0, DsmChecker::LockMode::kMutex);
-  chk->on_lock_released(0, 0, DsmChecker::LockMode::kMutex);
-  chk->on_lock_acquired(1, 0, DsmChecker::LockMode::kMutex);
-  chk->on_lock_released(1, 0, DsmChecker::LockMode::kMutex);
-  chk->on_lock_acquired(1, 1, DsmChecker::LockMode::kMutex);
-  chk->on_lock_released(1, 1, DsmChecker::LockMode::kMutex);
-  chk->on_lock_acquired(2, 1, DsmChecker::LockMode::kMutex);
+  chk->on_lock_acquired(0, 0, DsmChecker::LockMode::kWrite);
+  chk->on_lock_released(0, 0, DsmChecker::LockMode::kWrite);
+  chk->on_lock_acquired(1, 0, DsmChecker::LockMode::kWrite);
+  chk->on_lock_released(1, 0, DsmChecker::LockMode::kWrite);
+  chk->on_lock_acquired(1, 1, DsmChecker::LockMode::kWrite);
+  chk->on_lock_released(1, 1, DsmChecker::LockMode::kWrite);
+  chk->on_lock_acquired(2, 1, DsmChecker::LockMode::kWrite);
   chk->on_access(2, 1, 0, true);
   EXPECT_EQ(races(), 0u);
 }
 
 TEST_F(CheckerTest, DoubleExclusiveGrantIsATokenViolation) {
   auto chk = make();
-  chk->on_lock_acquired(0, 2, DsmChecker::LockMode::kMutex);
-  chk->on_lock_acquired(1, 2, DsmChecker::LockMode::kMutex);
+  chk->on_lock_acquired(0, 2, DsmChecker::LockMode::kWrite);
+  chk->on_lock_acquired(1, 2, DsmChecker::LockMode::kWrite);
   EXPECT_EQ(stats_.snapshot().counter("check.token"), 1u);
 }
 

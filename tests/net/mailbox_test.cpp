@@ -23,18 +23,13 @@ TEST(Mailbox, FifoOrder) {
   EXPECT_EQ(mb.pop()->type, MsgType::kWriteRequest);
 }
 
-TEST(Mailbox, TryPopOnEmptyReturnsNothing) {
-  Mailbox mb;
-  EXPECT_FALSE(mb.try_pop().has_value());
-}
-
 TEST(Mailbox, SizeTracksContents) {
   Mailbox mb;
   EXPECT_EQ(mb.size(), 0u);
   mb.push(make_msg(MsgType::kUpdate));
   mb.push(make_msg(MsgType::kUpdate));
   EXPECT_EQ(mb.size(), 2u);
-  mb.try_pop();
+  mb.pop();
   EXPECT_EQ(mb.size(), 1u);
 }
 

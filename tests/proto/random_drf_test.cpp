@@ -5,9 +5,15 @@
 // write trips the comparison. This is the suite's broadest property test —
 // one schedule-dependent consistency bug anywhere in the stack shows up
 // here as a counter mismatch.
+//
+// The Siblings/ cases add real intra-node concurrency: each node's primary
+// thread spawns sibling app threads every round, all incrementing the same
+// lock-protected counters, so protocol faults, dirty-list flushes and the
+// SyncAgent's per-lock gate are entered by several threads of one node.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 
 #include "common/rng.hpp"
 #include "core/dsm.hpp"
@@ -23,6 +29,8 @@ struct DrfCase {
   std::size_t n_nodes;
   bool shared_pages;  ///< counters packed onto shared pages (false sharing)
   std::uint64_t seed;
+  std::size_t threads = 1;  ///< app threads per node (> 1: uffd engine)
+  LockPolicy lock_policy = LockPolicy::kForwardChain;
 };
 
 std::string case_name(const ::testing::TestParamInfo<DrfCase>& pi) {
@@ -32,12 +40,19 @@ std::string case_name(const ::testing::TestParamInfo<DrfCase>& pi) {
   }
   return s + "_n" + std::to_string(pi.param.n_nodes) +
          (pi.param.shared_pages ? "_packed" : "_padded") + "_s" +
-         std::to_string(pi.param.seed);
+         std::to_string(pi.param.seed) +
+         (pi.param.lock_policy == LockPolicy::kCentralized ? "_central" : "");
 }
 
 class RandomDrfTest : public ::testing::TestWithParam<DrfCase> {
  protected:
-  void SetUp() override { TUTORDSM_SKIP_IF_UFFD_UNAVAILABLE(); }
+  void SetUp() override {
+    TUTORDSM_SKIP_IF_UFFD_UNAVAILABLE();
+    std::string reason;
+    if (GetParam().threads > 1 && !uffd_available(&reason)) {
+      GTEST_SKIP() << "[uffd unavailable] " << reason;
+    }
+  }
 };
 
 // The generated program is DRF by construction, so it doubles as a negative
@@ -56,6 +71,11 @@ void run_drf_case(const DrfCase& param, CheckLevel check_level,
   cfg.n_pages = 32;
   cfg.protocol = param.protocol;
   cfg.check_level = check_level;
+  cfg.lock_policy = param.lock_policy;
+  if (param.threads > 1) {
+    cfg.fault_engine = FaultEngineKind::kUffd;
+    cfg.app_threads = param.threads;
+  }
   if (batched_wire) {
     cfg.wire.batching = true;
     cfg.wire.piggyback_acks = true;
@@ -86,23 +106,35 @@ void run_drf_case(const DrfCase& param, CheckLevel check_level,
       }
     }
     w.barrier(0);
-    SplitMix64 rng(param.seed * 1000003 + w.id());
-
-    for (int round = 0; round < kRounds; ++round) {
+    // One generator per app thread of this node; thread 0 is the primary.
+    std::vector<SplitMix64> rngs;
+    for (std::size_t t = 0; t < param.threads; ++t) {
+      rngs.emplace_back(param.seed * 1000003 + w.id() + t * 65536);
+    }
+    const auto increments = [&](Worker& self, SplitMix64& rng) {
       for (int op = 0; op < kOpsPerRound; ++op) {
         const auto v = static_cast<std::size_t>(rng.next_below(kVars));
         const auto lock = static_cast<LockId>(v);
-        w.acquire(lock);
+        self.acquire(lock);
         // The DSM counter and the host shadow must agree while the lock is
         // held — this is the consistency oracle.
-        const std::uint64_t dsm_value = test::force_read(w.get(vars[v]));
+        const std::uint64_t dsm_value = test::force_read(self.get(vars[v]));
         const std::uint64_t shadow_value = shadow[v].load(std::memory_order_relaxed);
         if (dsm_value != shadow_value) mismatches++;
-        *w.get(vars[v]) = dsm_value + 1;
+        *self.get(vars[v]) = dsm_value + 1;
         shadow[v].store(shadow_value + 1, std::memory_order_relaxed);
-        w.compute(rng.next_below(500));
-        w.release(lock);
+        self.compute(rng.next_below(500));
+        self.release(lock);
       }
+    };
+
+    for (int round = 0; round < kRounds; ++round) {
+      std::vector<std::thread> siblings;
+      for (std::size_t t = 1; t < param.threads; ++t) {
+        siblings.push_back(w.spawn([&, t](Worker& s) { increments(s, rngs[t]); }));
+      }
+      increments(w, rngs[0]);
+      for (auto& s : siblings) s.join();
       w.barrier(0);
       // Post-barrier, re-check every counter under its lock (EC requires
       // the lock; for the others it also exercises acquire-path metadata).
@@ -118,7 +150,7 @@ void run_drf_case(const DrfCase& param, CheckLevel check_level,
   EXPECT_EQ(mismatches.load(), 0u);
   std::uint64_t total = 0;
   for (const auto& s : shadow) total += s.load();
-  EXPECT_EQ(total, param.n_nodes * kRounds * kOpsPerRound);
+  EXPECT_EQ(total, param.n_nodes * param.threads * kRounds * kOpsPerRound);
 
   if (check_level != CheckLevel::kOff) {
     ASSERT_NE(sys.checker(), nullptr);
@@ -168,6 +200,28 @@ INSTANTIATE_TEST_SUITE_P(
         DrfCase{ProtocolKind::kHlrc, 8, false, 16},
         DrfCase{ProtocolKind::kEc, 4, true, 13},
         DrfCase{ProtocolKind::kEc, 8, true, 14}),
+    case_name);
+
+// Four app threads per node, one page per counter: concurrent faults and
+// flushes on protocol pages. Kept out of the env-driven .udp/.uffd/.mt*
+// copies (their filters select Sweep/ only), whose TUTORDSM_APP_THREADS
+// would override the explicit thread count. ivy-dynamic, a single-writer
+// protocol with no dirty list, is the control. The centralized cases run
+// the home-managed lock path (acquire/release as the write mode) under the
+// same sibling contention.
+INSTANTIATE_TEST_SUITE_P(
+    Siblings, RandomDrfTest,
+    ::testing::Values(
+        DrfCase{ProtocolKind::kErcInvalidate, 8, false, 21, 4},
+        DrfCase{ProtocolKind::kErcUpdate, 8, false, 22, 4},
+        DrfCase{ProtocolKind::kHlrc, 8, false, 23, 4},
+        DrfCase{ProtocolKind::kLrc, 8, false, 24, 4},
+        DrfCase{ProtocolKind::kQrc, 4, false, 25, 4},
+        DrfCase{ProtocolKind::kQrc, 8, false, 26, 4},
+        DrfCase{ProtocolKind::kIvyDynamic, 8, false, 27, 4},
+        DrfCase{ProtocolKind::kErcInvalidate, 8, false, 28, 4, LockPolicy::kCentralized},
+        DrfCase{ProtocolKind::kLrc, 8, false, 29, 4, LockPolicy::kCentralized},
+        DrfCase{ProtocolKind::kHlrc, 8, false, 30, 4, LockPolicy::kCentralized}),
     case_name);
 
 }  // namespace

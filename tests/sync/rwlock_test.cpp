@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
+#include <vector>
 
 #include "core/dsm.hpp"
 
@@ -19,6 +21,14 @@ Config rw_config(ProtocolKind protocol, std::size_t nodes) {
   cfg.page_size = ViewRegion::os_page_size();
   cfg.protocol = protocol;
   return cfg;
+}
+
+std::string protocol_name(const ::testing::TestParamInfo<ProtocolKind>& pi) {
+  std::string s = to_string(pi.param);
+  for (auto& c : s) {
+    if (c == '-') c = '_';
+  }
+  return s;
 }
 
 class RwLockTest : public ::testing::TestWithParam<ProtocolKind> {};
@@ -152,13 +162,79 @@ INSTANTIATE_TEST_SUITE_P(Protocols, RwLockTest,
                          ::testing::Values(ProtocolKind::kIvyDynamic,
                                            ProtocolKind::kErcUpdate, ProtocolKind::kLrc,
                                            ProtocolKind::kHlrc, ProtocolKind::kEc),
-                         [](const ::testing::TestParamInfo<ProtocolKind>& pi) {
-                           std::string s = to_string(pi.param);
-                           for (auto& c : s) {
-                             if (c == '-') c = '_';
-                           }
-                           return s;
-                         });
+                         protocol_name);
+
+// Sibling app threads of one node take the read side one after another (the
+// node's per-lock gate admits one at a time) while another node writes. The
+// home must keep counting the node as a reader until its last read hold is
+// released: admitting the writer early puts it beside a live reader, and the
+// stranded release then aborts at the home.
+class RwSiblingTest : public ::testing::TestWithParam<ProtocolKind> {
+ protected:
+  void SetUp() override {
+    std::string reason;
+    if (!uffd_available(&reason)) GTEST_SKIP() << "[uffd unavailable] " << reason;
+  }
+};
+
+TEST_P(RwSiblingTest, SiblingReadersExcludeARemoteWriter) {
+  constexpr std::size_t kThreads = 4;
+  constexpr int kReads = 100;
+  constexpr std::uint64_t kWrites = 40;
+  constexpr LockId kLock = 2;  // homed at node 2, away from writer and readers
+  Config cfg = rw_config(GetParam(), 3);
+  cfg.fault_engine = FaultEngineKind::kUffd;
+  cfg.app_threads = kThreads;
+  System sys(cfg);
+  const auto cells = sys.alloc_page_aligned<std::uint64_t>(2);
+  std::atomic<int> readers_inside{0};
+  std::atomic<int> writers_inside{0};
+  std::atomic<int> violations{0};
+  std::atomic<std::uint64_t> published{0};
+
+  sys.run([&](Worker& w) {
+    w.barrier(0);
+    if (w.id() == 0) {
+      for (std::uint64_t k = 1; k <= kWrites; ++k) {
+        w.acquire_write(kLock);
+        if (writers_inside.fetch_add(1) != 0 || readers_inside.load() != 0) violations++;
+        *w.get(cells) = k;
+        *w.get(cells + 1) = k;
+        published = k;
+        writers_inside.fetch_sub(1);
+        w.release_write(kLock);
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    } else if (w.id() == 1) {
+      const auto reads = [&](Worker& self) {
+        for (int i = 0; i < kReads; ++i) {
+          self.acquire_read(kLock);
+          readers_inside.fetch_add(1);
+          if (writers_inside.load() != 0) violations++;
+          const std::uint64_t floor = published.load();
+          const std::uint64_t a = test::force_read(self.get(cells));
+          const std::uint64_t b = test::force_read(self.get(cells + 1));
+          if (a != b || a < floor) violations++;
+          readers_inside.fetch_sub(1);
+          self.release_read(kLock);
+        }
+      };
+      std::vector<std::thread> siblings;
+      for (std::size_t t = 1; t < kThreads; ++t) siblings.push_back(w.spawn(reads));
+      reads(w);
+      for (auto& s : siblings) s.join();
+    }
+  });
+  EXPECT_EQ(violations.load(), 0);
+}
+
+// Kept out of the env-driven conformance copies; CI's mt job repeats it
+// with the other Siblings/ suites.
+INSTANTIATE_TEST_SUITE_P(Siblings, RwSiblingTest,
+                         ::testing::Values(ProtocolKind::kIvyDynamic,
+                                           ProtocolKind::kErcUpdate, ProtocolKind::kLrc,
+                                           ProtocolKind::kHlrc),
+                         protocol_name);
 
 TEST(RwLockDeathTest, ReleaseReadWithoutAcquireAborts) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
