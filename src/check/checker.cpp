@@ -51,6 +51,8 @@ DsmChecker::DsmChecker(Setup setup)
     vc_.push_back(std::move(vc));
   }
   lock_vc_.assign(setup.n_locks, VectorClock(n_units_));
+  released_vc_.assign(n_units_, VectorClock(n_units_));
+  deaths_vc_ = VectorClock(n_units_);
   occupancy_.assign(setup.n_locks, LockOccupancy{kNoNode, NodeSet(n_nodes_)});
   arrive_gen_.assign(setup.n_barriers * n_nodes_, 0);
   depart_gen_.assign(setup.n_barriers * n_nodes_, 0);
@@ -216,6 +218,7 @@ void DsmChecker::on_lock_released(NodeId node, ThreadId tid, LockId lock,
   // under-approximation, never a false positive.)
   const std::size_t me = unit_of(node, tid);
   lock_vc_[lock].merge(vc_[me]);
+  released_vc_[me] = vc_[me];
   vc_[me].tick(static_cast<NodeId>(me));
 }
 
@@ -255,6 +258,8 @@ void DsmChecker::on_barrier_depart(NodeId node, ThreadId tid,
     vc_[me].merge(it->second.acc);
     if (++it->second.departures >= needed) rounds_.erase(it);
   }
+  // A round that completes without a dead worker is ordered after its death.
+  vc_[me].merge(deaths_vc_);
   vc_[me].tick(static_cast<NodeId>(me));
 }
 
@@ -358,6 +363,7 @@ void DsmChecker::on_node_killed(NodeId node) {
   const RecursiveMutexLock lk(mutex_);
   dead_.insert(node);
   worker_dead_.insert(node);
+  for (ThreadId t = 0; t < kMaxAppThreads; ++t) deaths_vc_.merge(released_vc_[unit_of(node, t)]);
 }
 
 void DsmChecker::on_node_restarted(NodeId node) {

@@ -142,7 +142,10 @@ class DsmChecker {
   /// regeneration would mint two tokens.
   void on_token_regenerated(LockId lock, NodeId dead);
   /// `node` was killed: its occupancy/mirror state is frozen; structural
-  /// end-of-run passes that assume a full fleet are relaxed.
+  /// end-of-run passes that assume a full fleet are relaxed. The death is a
+  /// sync edge: every later barrier departure is ordered after the victim's
+  /// last release (its released writes were acknowledged before it died),
+  /// while its writes after that release stay unordered.
   void on_node_killed(NodeId node);
   /// `node` restarted with a wiped memory fabric: reset its state mirror to
   /// all-invalid and let every link touching it adopt the next seen seq.
@@ -248,6 +251,8 @@ class DsmChecker {
   std::unordered_map<std::uint64_t, WordState> words_
       GUARDED_BY(mutex_);                           // word key → epochs
   std::vector<VectorClock> lock_vc_ GUARDED_BY(mutex_);   // per lock
+  std::vector<VectorClock> released_vc_ GUARDED_BY(mutex_);  // per unit, at its last release
+  VectorClock deaths_vc_ GUARDED_BY(mutex_);  // killed units' last releases
   std::vector<LockOccupancy> occupancy_ GUARDED_BY(mutex_);  // per lock
   std::map<std::pair<BarrierId, std::uint64_t>, Round> rounds_ GUARDED_BY(mutex_);
   std::vector<std::uint64_t> arrive_gen_ GUARDED_BY(mutex_);  // per (barrier, node)

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/assert.hpp"
-#include "common/serialize.hpp"
 
 namespace dsm {
 
@@ -32,18 +31,6 @@ std::string VectorClock::to_string() const {
   }
   out << ']';
   return out.str();
-}
-
-void write_vclock(const VectorClock& vc, WireWriter& out) {
-  out.put(static_cast<std::uint32_t>(vc.size()));
-  for (std::size_t i = 0; i < vc.size(); ++i) out.put(vc[static_cast<NodeId>(i)]);
-}
-
-VectorClock read_vclock(WireReader& in) {
-  const auto n = in.get<std::uint32_t>();
-  VectorClock vc(n);
-  for (std::uint32_t i = 0; i < n; ++i) vc.set(i, in.get<std::uint32_t>());
-  return vc;
 }
 
 }  // namespace dsm

@@ -45,11 +45,4 @@ class VectorClock {
   std::vector<std::uint32_t> components_;
 };
 
-class WireWriter;
-class WireReader;
-
-/// Wire form shared by the LRC-family sync payloads: u32 n | n × u32.
-void write_vclock(const VectorClock& vc, WireWriter& out);
-VectorClock read_vclock(WireReader& in);
-
 }  // namespace dsm

@@ -93,10 +93,12 @@ void ErcProtocol::flush_dirty() {
       }
       ctx_.stats->counter("erc.diff_bytes").add(diff_bytes);
       if (ft() && ctx_.home_of(page) != ctx_.id) {
-        // Keep the encoded field until the home's final ack: if the home
-        // crashes first, the kPeerUp handler re-sends it verbatim.
+        // Keep the encoded field until the home's final ack: if this
+        // incarnation of the home crashes first, the kPeerUp handler
+        // re-sends it verbatim.
         const MutexLock lock(ft_mutex_);
-        ft_outstanding_[page] = field;
+        ft_outstanding_.emplace(
+            page, Unacked{ctx_.net->liveness().incarnation(ctx_.home_of(page)), field});
       }
       ctx_.send(MsgType::kUpdate, ctx_.home_of(page), update_msg(page, kToHome, field));
     }
@@ -136,6 +138,13 @@ void ErcProtocol::handle_page_request(const Message& msg) {
 void ErcProtocol::handle_page_reply(const Message& msg) {
   WireReader r(msg.payload);
   const auto page = r.get<PageId>();
+  {
+    // A fetch re-sent on kPeerUp may be answered twice; only a reply to a
+    // fetch in flight completes it.
+    auto& e = ctx_.table->entry(page);
+    const MutexLock lock(e.mutex);
+    if (!e.busy) return;
+  }
   complete_fetch(ctx_, page, page_io::get_page(ctx_, r));
 }
 
@@ -296,10 +305,14 @@ void ErcProtocol::handle_update_ack(const Message& msg) {
   const auto kind = r.get<std::uint8_t>();
 
   if (kind == kFromHome) {
-    // Final ack to the releasing writer.
-    {
+    // Final ack to the releasing writer. Under FT a flush that reached a
+    // restarted home and was also re-sent to it is acked twice: the ack
+    // that finds no unacked flush is the duplicate.
+    if (ft() && ctx_.home_of(page) != ctx_.id) {
       const MutexLock lock(ft_mutex_);
-      ft_outstanding_.erase(page);
+      const auto it = ft_outstanding_.find(page);
+      if (it == ft_outstanding_.end()) return;
+      ft_outstanding_.erase(it);
     }
     flush_acks_.ack();
     return;
@@ -481,18 +494,31 @@ void ErcProtocol::on_peer_up(NodeId peer) {
     ctx_.send(MsgType::kCkptFetch, buddy(), std::move(w).take());
     return;
   }
-  // A home we were mid-flush to came back: re-send the unacked fields (value
-  // form — idempotent against the restored base).
+  // A home we were mid-flush to came back: re-send the unacked fields its
+  // old incarnation may have lost (value form — idempotent against the
+  // restored base). One sent to the new incarnation is delivered already.
+  const std::uint32_t incarnation = ctx_.net->liveness().incarnation(peer);
   std::vector<std::pair<PageId, std::vector<std::byte>>> resend;
   {
     const MutexLock lock(ft_mutex_);
-    for (const auto& [page, field] : ft_outstanding_) {
-      if (ctx_.home_of(page) == peer) resend.emplace_back(page, field);
+    for (auto& [page, flush] : ft_outstanding_) {
+      if (ctx_.home_of(page) != peer || flush.incarnation >= incarnation) continue;
+      flush.incarnation = incarnation;
+      resend.emplace_back(page, flush.field);
     }
   }
   for (auto& [page, field] : resend) {
     ctx_.stats->counter("ft.flush_resends").add();
     ctx_.send(MsgType::kUpdate, peer, update_msg(page, kToHome, field));
+  }
+  // Fetches into the crash window were dropped with the old incarnation.
+  for (PageId p = 0; p < ctx_.table->n_pages(); ++p) {
+    if (ctx_.home_of(p) != peer) continue;
+    auto& e = ctx_.table->entry(p);
+    const MutexLock lock(e.mutex);
+    if (!e.busy) continue;
+    ctx_.stats->counter("ft.fetch_resends").add();
+    ctx_.send(MsgType::kPageRequest, peer, page_io::encode_req(p, ctx_.id));
   }
 }
 

@@ -119,10 +119,15 @@ class ErcProtocol final : public Protocol {
   // One ack per flushed page, from its home once the release transaction
   // completed there.
   AckCount flush_acks_;
-  // FT only: unacked flush fields by page, so a home's crash+restart can be
+  // FT only: unacked flush fields by page, in send order, each with the
+  // incarnation of the home it went to, so a home's crash+restart can be
   // survived by re-sending verbatim (value-form diffs make that idempotent).
+  struct Unacked {
+    std::uint32_t incarnation = 0;
+    std::vector<std::byte> field;
+  };
   Mutex ft_mutex_ ACQUIRED_BEFORE(lock_order::fabric_gate);
-  std::map<PageId, std::vector<std::byte>> ft_outstanding_ GUARDED_BY(ft_mutex_);
+  std::multimap<PageId, Unacked> ft_outstanding_ GUARDED_BY(ft_mutex_);
 
   // --- checkpoint state (service thread only) -------------------------------
   std::map<PageId, Ckpt> ckpt_store_;  // snapshots held for our predecessor

@@ -12,12 +12,7 @@
 // like IVY, and barriers are pure notice exchanges.
 #pragma once
 
-#include <map>
-#include <vector>
-
-#include "common/lock_order.hpp"
-#include "common/thread_annotations.hpp"
-#include "common/vclock.hpp"
+#include "proto/notice_log.hpp"
 #include "proto/protocol.hpp"
 #include "proto/twin_set.hpp"
 
@@ -33,51 +28,38 @@ class HlrcProtocol final : public Protocol {
   void on_write_fault(PageId page) override;
   void on_message(const Message& msg) override;
 
-  void fill_lock_request(LockId, WireWriter& out) override;
-  void fill_lock_grant(LockId, NodeId to, std::span<const std::byte> request_payload,
-                       WireWriter& out) override;
-  void on_lock_granted(LockId, WireReader& in) override;
-  void before_release(LockId) override;
-  void before_barrier(BarrierId) override;
-  void fill_barrier_arrive(BarrierId, WireWriter& out) override;
-  void on_barrier_collect(BarrierId, NodeId from, WireReader& in) override;
-  void fill_barrier_release(BarrierId, WireWriter& out) override;
+  // Lock and barrier payloads are the notice log's; only a release's flush
+  // and what a notice does to a page are HLRC's own.
+  void fill_lock_request(LockId, WireWriter& out) override { log_.fill_request(out); }
+  void fill_lock_grant(LockId, NodeId, std::span<const std::byte> request_payload,
+                       WireWriter& out) override {
+    log_.fill_grant(request_payload, out);
+  }
+  void on_lock_granted(LockId, WireReader& in) override { log_.on_grant(in); }
+  void before_release(LockId) override { close_and_flush(); }
+  void before_barrier(BarrierId) override { close_and_flush(); }
+  void fill_barrier_arrive(BarrierId, WireWriter& out) override { log_.fill_arrive(out); }
+  void on_barrier_collect(BarrierId, NodeId, WireReader& in) override { log_.collect(in); }
+  void fill_barrier_release(BarrierId, WireWriter& out) override { log_.fill_release(out); }
   void on_barrier_release(BarrierId, WireReader& in) override;
 
-  const VectorClock& vclock() const { return vc_; }
+  const VectorClock& vclock() const { return log_.vclock(); }
 
  private:
-  struct IntervalRecord {
-    NodeId node = kNoNode;
-    std::uint32_t interval = 0;
-    std::vector<PageId> pages;
-  };
-
   /// Closes the open interval: encode diffs, flush them to the pages'
   /// homes, wait for acks, record the interval. App thread.
   void close_and_flush();
 
-  /// Ingests interval records, invalidating noticed pages (except at their
-  /// home, whose copy is authoritative and already flushed-to).
-  void ingest_records(WireReader& in, std::size_t count) REQUIRES(meta_mutex_);
-  void write_records_after(const VectorClock& horizon, WireWriter& out)
-      REQUIRES(meta_mutex_);
-
   void handle_page_reply(const Message& msg);
   void handle_flush(const Message& msg);  // home side: apply a diff
 
-  // ---- metadata, guarded by meta_mutex_ ----
-  mutable Mutex meta_mutex_ ACQUIRED_BEFORE(lock_order::fabric_gate);
-  VectorClock vc_ GUARDED_BY(meta_mutex_);
-  std::vector<std::vector<IntervalRecord>> interval_log_ GUARDED_BY(meta_mutex_);
+  // A notice invalidates the page, except at its home, whose copy is
+  // authoritative and already flushed-to.
+  NoticeLog log_;
 
   TwinSet twins_;
   // One ack per flushed diff, from its page's home.
   AckCount flush_acks_;
-
-  // ---- barrier manager scratch ----
-  std::vector<IntervalRecord> barrier_records_;
-  VectorClock barrier_vc_;
 };
 
 }  // namespace dsm

@@ -11,28 +11,37 @@ namespace dsm {
 namespace {
 
 // Payload layouts:
-//   lock request payload : u32 n | n×u32 vclock
-//   lock grant payload   : u32 n | n×u32 vclock | u64 lamport | u32 nrec |
-//                          nrec × { u32 node | u32 interval | u64 lamport |
-//                                   u32 npages | npages×u32 }
+//   lock request/grant   : the notice log's
+//   barrier arrive/release: u8 settle | the notice log's
 //   kPageRequest         : u32 page | u32 requester
 //   kPageReply           : u32 page | raw page bytes
 //   kDiffRequest         : u32 page | u32 requester | u32 n | n×u32 intervals
-//   kDiffReply           : u32 page | u32 n | n × { u32 interval | u64 lamport |
+//   kDiffReply           : u32 page | u32 n | n × { u32 interval | u64 stamp |
 //                                                   bytes diff }
-//   barrier arrive/release payloads: u32 n | vclock | u64 lamport | u32 nrec |
-//       nrec × { u32 node | u32 interval | u64 lamport | u32 npages |
-//                npages × { u32 page | bytes diff } }
+//   kUpdate (settle push): u32 page | u32 interval | u64 stamp | bytes diff
+//   kUpdateAck           : (empty)
+
+// Diff application order: stamp, then writer between concurrent intervals.
+constexpr auto by_stamp = [](const auto& a, const auto& b) {
+  return a.stamp != b.stamp ? a.stamp < b.stamp : a.writer < b.writer;
+};
 
 }  // namespace
 
 LrcProtocol::LrcProtocol(NodeContext& ctx)
     : Protocol(ctx),
-      vc_(ctx.n_nodes),
-      interval_log_(ctx.n_nodes),
+      log_(ctx,
+           [this](NodeId writer, std::uint32_t interval, PageId page) REQUIRES(log_.mutex) {
+             auto& e = ctx_.table->entry(page);
+             const MutexLock lock(e.mutex);
+             pending_[page].push_back(WriteNotice{writer, interval});
+             if (e.state != PageState::kInvalid) {
+               page_io::set_state(ctx_, page, e, PageState::kInvalid);
+               ctx_.stats->counter("lrc.notice_invalidations").add();
+             }
+           }),
       pending_(ctx.cfg->n_pages),
-      twins_(ctx),
-      barrier_vc_(ctx.n_nodes) {}
+      twins_(ctx) {}
 
 std::string_view LrcProtocol::name() const { return "lrc"; }
 
@@ -41,20 +50,15 @@ void LrcProtocol::init_pages() {
   for (auto& notices : pending_) notices.clear();
   twins_.clear();
   push_acks_.reset();
-  const MutexLock meta(meta_mutex_);
-  vc_ = VectorClock(ctx_.n_nodes);
-  lamport_ = 0;
-  for (auto& log : interval_log_) log.clear();
-  diff_cache_.clear();
-  diff_inbox_.clear();
-  barrier_records_.clear();
   barrier_gen_.clear();
-  barrier_settle_round_ = false;
+  barrier_settle_round_.reset();
   arriving_at_settle_ = false;
   last_release_was_settle_ = false;
+  const MutexLock meta(log_.mutex);
+  log_.reset();
+  diff_cache_.clear();
+  diff_inbox_.clear();
   settle_buffer_.clear();
-  barrier_vc_ = VectorClock(ctx_.n_nodes);
-  barrier_lamport_ = 0;
 }
 
 // --------------------------------------------------------------------------
@@ -126,16 +130,14 @@ void LrcProtocol::make_page_valid(PageId page) {
 
     std::vector<DiffRecord> records;
     {
-      const MutexLock meta(meta_mutex_);
+      const MutexLock meta(log_.mutex);
       auto it = diff_inbox_.find(page);
       if (it != diff_inbox_.end()) {
         records = std::move(it->second);
         diff_inbox_.erase(it);
       }
     }
-    std::sort(records.begin(), records.end(), [](const DiffRecord& a, const DiffRecord& b) {
-      return a.lamport != b.lamport ? a.lamport < b.lamport : a.writer < b.writer;
-    });
+    std::sort(records.begin(), records.end(), by_stamp);
     lock.lock();
     // Service window: the page stays PROT_NONE while the diffs land.
     for (const auto& rec : records) twins_.apply(page, e, rec.bytes);
@@ -158,28 +160,20 @@ void LrcProtocol::make_page_valid(PageId page) {
 // --------------------------------------------------------------------------
 
 void LrcProtocol::close_interval() {
-  // Take the list under meta_mutex_: a racing release that takes an empty
-  // list then cannot fill its grant before this interval is recorded.
-  const MutexLock meta(meta_mutex_);
+  // Take the list under the log's mutex: a racing release that takes an
+  // empty list then cannot fill its grant before this interval is recorded.
+  const MutexLock meta(log_.mutex);
   const std::vector<PageId> dirty = twins_.take();
   if (dirty.empty()) return;
-  ++lamport_;
-  vc_.tick(ctx_.id);
-  if (ctx_.check != nullptr) ctx_.check->on_vclock(ctx_.id, vc_);
-  const std::uint32_t interval = vc_[ctx_.id];
-
-  IntervalRecord rec;
-  rec.node = ctx_.id;
-  rec.interval = interval;
-  rec.lamport = lamport_;
-  rec.pages = dirty;
+  const std::uint32_t interval = log_.close(dirty);
+  const std::uint64_t stamp = log_.stamp();
 
   for (const PageId page : dirty) {
     auto& e = ctx_.table->entry(page);
     const MutexLock lock(e.mutex);
     DiffRecord d;
     d.interval = interval;
-    d.lamport = lamport_;
+    d.stamp = stamp;
     d.writer = ctx_.id;
     // Unseen remote writes exist: go invalid so the next access fetches
     // their diffs before reading.
@@ -188,11 +182,8 @@ void LrcProtocol::close_interval() {
     ctx_.stats->counter("lrc.diff_bytes_created").add(d.bytes.size());
     diff_cache_[page].push_back(std::move(d));
   }
-  interval_log_[ctx_.id].push_back(std::move(rec));
   ctx_.stats->counter("lrc.intervals").add();
 }
-
-void LrcProtocol::before_release(LockId) { close_interval(); }
 
 void LrcProtocol::before_barrier(BarrierId barrier) {
   close_interval();
@@ -208,7 +199,7 @@ void LrcProtocol::push_diffs_to_homes() {
   // epoch before any node can arrive at the barrier — the release can then
   // move notices only, instead of broadcasting O(data × nodes).
   {
-    const MutexLock meta(meta_mutex_);
+    const MutexLock meta(log_.mutex);
     int sent = 0;
     for (const auto& [page, records] : diff_cache_) sent += static_cast<int>(records.size());
     if (sent == 0) return;
@@ -218,7 +209,7 @@ void LrcProtocol::push_diffs_to_homes() {
         WireWriter w(rec.bytes.size() + 24);
         w.put(page);
         w.put(rec.interval);
-        w.put(rec.lamport);
+        w.put(rec.stamp);
         w.put_bytes(rec.bytes);
         ctx_.send(MsgType::kUpdate, ctx_.home_of(page), std::move(w).take());
         ctx_.stats->counter("lrc.settle_push_bytes").add(rec.bytes.size());
@@ -226,79 +217,6 @@ void LrcProtocol::push_diffs_to_homes() {
     }
   }
   push_acks_.wait();
-}
-
-void LrcProtocol::fill_lock_request(LockId, WireWriter& out) {
-  const MutexLock meta(meta_mutex_);
-  write_vclock(vc_, out);
-}
-
-void LrcProtocol::write_records_after(const VectorClock& horizon, WireWriter& out) {
-  // meta_mutex_ held by the caller.
-  std::uint32_t count = 0;
-  for (const auto& log : interval_log_) {
-    for (const auto& rec : log) {
-      if (rec.interval > horizon[rec.node]) ++count;
-    }
-  }
-  out.put(count);
-  for (const auto& log : interval_log_) {
-    for (const auto& rec : log) {
-      if (rec.interval <= horizon[rec.node]) continue;
-      out.put(rec.node);
-      out.put(rec.interval);
-      out.put(rec.lamport);
-      out.put_vector(rec.pages);
-    }
-  }
-}
-
-void LrcProtocol::fill_lock_grant(LockId, NodeId /*to*/,
-                                  std::span<const std::byte> request_payload,
-                                  WireWriter& out) {
-  VectorClock horizon(ctx_.n_nodes);
-  if (!request_payload.empty()) {
-    WireReader r(request_payload);
-    horizon = read_vclock(r);
-  }
-  const MutexLock meta(meta_mutex_);
-  write_vclock(vc_, out);
-  out.put(lamport_);
-  write_records_after(horizon, out);
-}
-
-void LrcProtocol::ingest_records(WireReader& in, std::size_t count) {
-  // meta_mutex_ held by the caller.
-  for (std::size_t i = 0; i < count; ++i) {
-    IntervalRecord rec;
-    rec.node = in.get<NodeId>();
-    rec.interval = in.get<std::uint32_t>();
-    rec.lamport = in.get<std::uint64_t>();
-    rec.pages = in.get_vector<PageId>();
-    if (vc_.covers(rec.node, rec.interval)) continue;  // already known
-    for (const PageId page : rec.pages) {
-      auto& e = ctx_.table->entry(page);
-      const MutexLock lock(e.mutex);
-      pending_[page].push_back(WriteNotice{rec.node, rec.interval, rec.lamport});
-      if (e.state != PageState::kInvalid) {
-        page_io::set_state(ctx_, page, e, PageState::kInvalid);
-        ctx_.stats->counter("lrc.notice_invalidations").add();
-      }
-    }
-    interval_log_[rec.node].push_back(std::move(rec));
-  }
-}
-
-void LrcProtocol::on_lock_granted(LockId, WireReader& in) {
-  if (in.remaining() == 0) return;  // first-ever grant: nothing to learn
-  const VectorClock granter_vc = read_vclock(in);
-  const auto granter_lamport = in.get<std::uint64_t>();
-  const auto count = in.get<std::uint32_t>();
-  const MutexLock meta(meta_mutex_);
-  ingest_records(in, count);
-  vc_.merge(granter_vc);
-  if (ctx_.check != nullptr) ctx_.check->on_vclock(ctx_.id, vc_);
-  lamport_ = std::max(lamport_, granter_lamport);
 }
 
 // --------------------------------------------------------------------------
@@ -312,18 +230,18 @@ void LrcProtocol::on_message(const Message& msg) {
     case MsgType::kDiffRequest: handle_diff_request(msg); return;
     case MsgType::kDiffReply: handle_diff_reply(msg); return;
     case MsgType::kUpdate: {
-      // A settle-round diff push: buffer it for lamport-ordered application
+      // A settle-round diff push: buffer it for stamp-ordered application
       // at the barrier release, and acknowledge.
       WireReader r(msg.payload);
       const auto page = r.get<PageId>();
       DiffRecord rec;
       rec.interval = r.get<std::uint32_t>();
-      rec.lamport = r.get<std::uint64_t>();
+      rec.stamp = r.get<std::uint64_t>();
       rec.writer = msg.src;
       const auto bytes = r.get_bytes();
       rec.bytes.assign(bytes.begin(), bytes.end());
       {
-        const MutexLock meta(meta_mutex_);
+        const MutexLock meta(log_.mutex);
         DSM_CHECK_MSG(ctx_.home_of(page) == ctx_.id, "lrc: diff push at non-home");
         settle_buffer_[page].push_back(std::move(rec));
       }
@@ -370,7 +288,7 @@ void LrcProtocol::handle_diff_request(const Message& msg) {
   w.put(page);
   w.put(n);
   {
-    const MutexLock meta(meta_mutex_);
+    const MutexLock meta(log_.mutex);
     const auto it = diff_cache_.find(page);
     DSM_CHECK_MSG(it != diff_cache_.end(), "lrc: no cached diffs for page " << page);
     for (const auto interval : intervals) {
@@ -379,7 +297,7 @@ void LrcProtocol::handle_diff_request(const Message& msg) {
       DSM_CHECK_MSG(rec != it->second.end(),
                     "lrc: diff for page " << page << " interval " << interval << " missing");
       w.put(rec->interval);
-      w.put(rec->lamport);
+      w.put(rec->stamp);
       w.put_bytes(rec->bytes);
     }
   }
@@ -391,12 +309,12 @@ void LrcProtocol::handle_diff_reply(const Message& msg) {
   const auto page = r.get<PageId>();
   const auto n = r.get<std::uint32_t>();
   {
-    const MutexLock meta(meta_mutex_);
+    const MutexLock meta(log_.mutex);
     auto& inbox = diff_inbox_[page];
     for (std::uint32_t i = 0; i < n; ++i) {
       DiffRecord rec;
       rec.interval = r.get<std::uint32_t>();
-      rec.lamport = r.get<std::uint64_t>();
+      rec.stamp = r.get<std::uint64_t>();
       rec.writer = msg.src;
       const auto bytes = r.get_bytes();
       rec.bytes.assign(bytes.begin(), bytes.end());
@@ -417,106 +335,58 @@ void LrcProtocol::handle_diff_reply(const Message& msg) {
 // Barriers: the global settle-up and GC point
 // --------------------------------------------------------------------------
 
-// Barrier payload layout (both directions, both round kinds):
-//   u8 settle | u32 n | vclock | u64 lamport | u32 nrec |
-//       nrec × { u32 node | u32 interval | u64 lamport | u32 npages | pages }
-// Notices only: at a settle round the actual diffs were already unicast to
-// each page's home (push_diffs_to_homes) before anyone arrived.
+// Barrier payloads (both directions, both round kinds) carry notices only,
+// after a u8 settle flag: at a settle round the actual diffs were already
+// unicast to each page's home (push_diffs_to_homes) before anyone arrived.
 
 void LrcProtocol::fill_barrier_arrive(BarrierId, WireWriter& out) {
-  const MutexLock meta(meta_mutex_);
   out.put(static_cast<std::uint8_t>(arriving_at_settle_ ? 1 : 0));
-  write_vclock(vc_, out);
-  out.put(lamport_);
-  const auto& mine = interval_log_[ctx_.id];
-  out.put(static_cast<std::uint32_t>(mine.size()));
-  for (const auto& rec : mine) {
-    out.put(rec.node);
-    out.put(rec.interval);
-    out.put(rec.lamport);
-    out.put_vector(rec.pages);
-  }
+  log_.fill_arrive(out);
 }
 
 void LrcProtocol::on_barrier_collect(BarrierId, NodeId /*from*/, WireReader& in) {
   const bool settle = in.get<std::uint8_t>() != 0;
-  if (barrier_records_.empty()) {
-    barrier_settle_round_ = settle;
-  } else {
-    DSM_CHECK_MSG(barrier_settle_round_ == settle,
-                  "lrc: nodes disagree about the settle round");
-  }
-  const VectorClock vc = read_vclock(in);
-  const auto lamport = in.get<std::uint64_t>();
-  const auto count = in.get<std::uint32_t>();
-  barrier_vc_.merge(vc);
-  barrier_lamport_ = std::max(barrier_lamport_, lamport);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    IntervalRecord rec;
-    rec.node = in.get<NodeId>();
-    rec.interval = in.get<std::uint32_t>();
-    rec.lamport = in.get<std::uint64_t>();
-    rec.pages = in.get_vector<PageId>();
-    barrier_records_.push_back(std::move(rec));
-  }
+  DSM_CHECK_MSG(barrier_settle_round_.value_or(settle) == settle,
+                "lrc: nodes disagree about the settle round");
+  barrier_settle_round_ = settle;
+  log_.collect(in);
 }
 
 void LrcProtocol::fill_barrier_release(BarrierId, WireWriter& out) {
-  out.put(static_cast<std::uint8_t>(barrier_settle_round_ ? 1 : 0));
-  write_vclock(barrier_vc_, out);
-  out.put(barrier_lamport_);
-  out.put(static_cast<std::uint32_t>(barrier_records_.size()));
-  for (const auto& rec : barrier_records_) {
-    out.put(rec.node);
-    out.put(rec.interval);
-    out.put(rec.lamport);
-    out.put_vector(rec.pages);
-  }
-  barrier_records_.clear();
+  out.put(static_cast<std::uint8_t>(barrier_settle_round_.value_or(false) ? 1 : 0));
+  barrier_settle_round_.reset();
+  log_.fill_release(out);
 }
 
 void LrcProtocol::on_barrier_release(BarrierId, WireReader& in) {
   const bool settle = in.get<std::uint8_t>() != 0;
   last_release_was_settle_ = settle;
-  const VectorClock merged = read_vclock(in);
-  const auto lamport = in.get<std::uint64_t>();
-  const auto count = in.get<std::uint32_t>();
 
-  if (!settle) {
-    // Lazy round: learn the merged write notices; data stays where it is
-    // until someone faults. Diff caches and pending notices are retained.
-    const MutexLock meta(meta_mutex_);
-    ingest_records(in, count);
-    vc_.merge(merged);
-    if (ctx_.check != nullptr) ctx_.check->on_vclock(ctx_.id, vc_);
-    lamport_ = std::max(lamport_, lamport);
-    ctx_.stats->counter("lrc.lazy_barriers").add();
-    return;
-  }
-
-  // Settle-up. First learn any notices we missed (marks pages stale), then:
-  //   * home pages: apply the epoch's pushed diffs in lamport order — every
+  // First learn the merged write notices (marks pages stale). A lazy round
+  // stops there: data stays where it is until someone faults, and diff
+  // caches and pending notices are retained. A settle-up then
+  //   * home pages: applies the epoch's pushed diffs in stamp order — every
   //     home is current afterwards;
-  //   * other copies with unapplied notices: drop to cold (refetch later);
-  // and garbage-collect every piece of epoch metadata.
+  //   * other copies with unapplied notices: drops them to cold (refetch
+  //     later);
+  // and garbage-collects every piece of epoch metadata.
   std::map<PageId, std::vector<DiffRecord>> pushed;
   {
-    const MutexLock meta(meta_mutex_);
-    ingest_records(in, count);
-    vc_.merge(merged);
-    if (ctx_.check != nullptr) ctx_.check->on_vclock(ctx_.id, vc_);
-    lamport_ = std::max(lamport_, lamport);
+    const MutexLock meta(log_.mutex);
+    log_.learn(in);
+    if (!settle) {
+      ctx_.stats->counter("lrc.lazy_barriers").add();
+      return;
+    }
     pushed = std::move(settle_buffer_);
     settle_buffer_.clear();
-    for (auto& log : interval_log_) log.clear();
+    log_.collect_garbage();
     diff_cache_.clear();
     DSM_CHECK(diff_inbox_.empty());
   }
 
   for (auto& [page, records] : pushed) {
-    std::sort(records.begin(), records.end(), [](const DiffRecord& a, const DiffRecord& b) {
-      return a.lamport != b.lamport ? a.lamport < b.lamport : a.writer < b.writer;
-    });
+    std::sort(records.begin(), records.end(), by_stamp);
     auto& e = ctx_.table->entry(page);
     const MutexLock lock(e.mutex);
     DSM_CHECK_MSG(e.twin == nullptr && !e.dirty, "lrc: open interval at barrier");
@@ -553,7 +423,7 @@ void LrcProtocol::on_barrier_release(BarrierId, WireReader& in) {
 }
 
 std::size_t LrcProtocol::cached_diffs() const {
-  const MutexLock meta(meta_mutex_);
+  const MutexLock meta(log_.mutex);
   std::size_t n = 0;
   for (const auto& [page, records] : diff_cache_) n += records.size();
   return n;

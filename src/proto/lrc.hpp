@@ -8,19 +8,19 @@
 // merged set; everyone applies, and all protocol metadata is garbage
 // collected.
 //
-// Diffs are applied in "lamport order": every interval carries a scalar
-// Lamport stamp advanced at sync operations, which totally orders any two
-// happens-before-related intervals. For data-race-free programs (the only
-// programs LRC gives guarantees for) this reproduces the happens-before
-// order of conflicting writes.
+// Diffs are applied in stamp order: a diff is stamped with the sum of its
+// interval's vector clock, which strictly grows along happens-before, so
+// any two happens-before-related diffs apply in that order (concurrent ones
+// break ties by writer). For data-race-free programs (the only programs LRC
+// gives guarantees for) this reproduces the happens-before order of
+// conflicting writes.
 #pragma once
 
 #include <map>
+#include <optional>
 #include <vector>
 
-#include "common/lock_order.hpp"
-#include "common/thread_annotations.hpp"
-#include "common/vclock.hpp"
+#include "proto/notice_log.hpp"
 #include "proto/protocol.hpp"
 #include "proto/twin_set.hpp"
 
@@ -36,11 +36,15 @@ class LrcProtocol final : public Protocol {
   void on_write_fault(PageId page) override;
   void on_message(const Message& msg) override;
 
-  void fill_lock_request(LockId, WireWriter& out) override;
-  void fill_lock_grant(LockId, NodeId to, std::span<const std::byte> request_payload,
-                       WireWriter& out) override;
-  void on_lock_granted(LockId, WireReader& in) override;
-  void before_release(LockId) override;
+  // Lock payloads are the notice log's; barrier payloads prefix it with
+  // the settle flag (see lrc.cpp).
+  void fill_lock_request(LockId, WireWriter& out) override { log_.fill_request(out); }
+  void fill_lock_grant(LockId, NodeId, std::span<const std::byte> request_payload,
+                       WireWriter& out) override {
+    log_.fill_grant(request_payload, out);
+  }
+  void on_lock_granted(LockId, WireReader& in) override { log_.on_grant(in); }
+  void before_release(LockId) override { close_interval(); }
   void before_barrier(BarrierId) override;
   void fill_barrier_arrive(BarrierId, WireWriter& out) override;
   void on_barrier_collect(BarrierId, NodeId from, WireReader& in) override;
@@ -55,27 +59,19 @@ class LrcProtocol final : public Protocol {
   bool barrier_needs_settlement() const override { return last_release_was_settle_; }
 
   /// Test hooks.
-  const VectorClock& vclock() const { return vc_; }
+  const VectorClock& vclock() const { return log_.vclock(); }
   std::size_t cached_diffs() const;
 
  private:
-  /// One closed interval of one node: which pages it modified.
-  struct IntervalRecord {
-    NodeId node = kNoNode;
-    std::uint32_t interval = 0;   // that node's interval counter value
-    std::uint64_t lamport = 0;    // scalar sync stamp, for diff ordering
-    std::vector<PageId> pages;
-  };
   /// An unapplied write notice parked at a page.
   struct WriteNotice {
     NodeId writer = kNoNode;
     std::uint32_t interval = 0;
-    std::uint64_t lamport = 0;
   };
   /// A cached or fetched diff.
   struct DiffRecord {
     std::uint32_t interval = 0;
-    std::uint64_t lamport = 0;
+    std::uint64_t stamp = 0;  // NoticeLog::stamp() at its interval's close
     NodeId writer = kNoNode;
     std::vector<std::byte> bytes;
   };
@@ -93,22 +89,13 @@ class LrcProtocol final : public Protocol {
   void handle_diff_request(const Message& msg);
   void handle_diff_reply(const Message& msg);
 
-  /// Serializes interval records (without diffs) newer than `horizon`.
-  void write_records_after(const VectorClock& horizon, WireWriter& out)
-      REQUIRES(meta_mutex_);
-  /// Ingests records from a grant; invalidates freshly-noticed pages.
-  void ingest_records(WireReader& in, std::size_t count) REQUIRES(meta_mutex_);
-
-  // ---- metadata, guarded by meta_mutex_ ----
-  mutable Mutex meta_mutex_ ACQUIRED_BEFORE(lock_order::fabric_gate);
-  VectorClock vc_ GUARDED_BY(meta_mutex_);
-  std::uint64_t lamport_ GUARDED_BY(meta_mutex_) = 0;
-  /// interval_log_[n] = records of node n's intervals known here, ascending.
-  std::vector<std::vector<IntervalRecord>> interval_log_ GUARDED_BY(meta_mutex_);
+  /// A notice parks at its page and invalidates the copy; guards the diff
+  /// state below.
+  NoticeLog log_;
   /// My own diffs: page → records ascending by interval.
-  std::map<PageId, std::vector<DiffRecord>> diff_cache_ GUARDED_BY(meta_mutex_);
+  std::map<PageId, std::vector<DiffRecord>> diff_cache_ GUARDED_BY(log_.mutex);
   /// Diff replies parked for the faulting app thread: page → records.
-  std::map<PageId, std::vector<DiffRecord>> diff_inbox_ GUARDED_BY(meta_mutex_);
+  std::map<PageId, std::vector<DiffRecord>> diff_inbox_ GUARDED_BY(log_.mutex);
 
   // ---- per-page pending notices, guarded by that page's entry mutex ----
   std::vector<std::vector<WriteNotice>> pending_;
@@ -132,16 +119,13 @@ class LrcProtocol final : public Protocol {
   bool last_release_was_settle_ = false;
 
   /// Home-side buffer of diffs pushed for the current settle round,
-  /// applied in lamport order at the release.
-  std::map<PageId, std::vector<DiffRecord>> settle_buffer_ GUARDED_BY(meta_mutex_);
+  /// applied in stamp order at the release.
+  std::map<PageId, std::vector<DiffRecord>> settle_buffer_ GUARDED_BY(log_.mutex);
   /// Push-acknowledgement rendezvous (app thread ↔ service thread).
   AckCount push_acks_;
 
-  // ---- barrier manager scratch (only used at the barrier home) ----
-  std::vector<IntervalRecord> barrier_records_;
-  bool barrier_settle_round_ = false;
-  VectorClock barrier_vc_;
-  std::uint64_t barrier_lamport_ = 0;
+  /// Barrier manager: the arrivals' settle flag, which must agree.
+  std::optional<bool> barrier_settle_round_;
 };
 
 }  // namespace dsm

@@ -155,6 +155,27 @@ TEST_F(CheckerTest, TransitiveHappensBeforeIsCarried) {
   EXPECT_EQ(races(), 0u);
 }
 
+TEST_F(CheckerTest, DeathOrdersTheVictimsReleasedWritesBeforeLaterBarriers) {
+  // Node 2 writes under a lock, releases, writes once more and dies; the
+  // survivors' barrier completes without it. Its released write was
+  // acknowledged before the death, so a read after the barrier is ordered
+  // after it. The write after its last release stays unordered.
+  auto chk = make(3);
+  chk->on_lock_acquired(2, 0, DsmChecker::LockMode::kWrite);
+  chk->on_access(2, 1, 0, true);
+  chk->on_lock_released(2, 0, DsmChecker::LockMode::kWrite);
+  chk->on_access(2, 1, 8, true);
+  chk->on_node_killed(2);
+  chk->on_barrier_arrive(0, 0);
+  chk->on_barrier_arrive(1, 0);
+  chk->on_barrier_depart(0, 0);
+  chk->on_barrier_depart(1, 0);
+  chk->on_access(0, 1, 0, false);
+  EXPECT_EQ(races(), 0u) << chk->last_violation();
+  chk->on_access(1, 1, 8, false);
+  EXPECT_EQ(races(), 1u);
+}
+
 TEST_F(CheckerTest, DoubleExclusiveGrantIsATokenViolation) {
   auto chk = make();
   chk->on_lock_acquired(0, 2, DsmChecker::LockMode::kWrite);

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <vector>
 
 #include "core/dsm.hpp"
 #include "proto/erc.hpp"
@@ -90,6 +92,97 @@ TEST(CkptTest, RestartedHomeRestoresFromBuddyAndServes) {
   EXPECT_EQ(snap.counter("ft.restarts"), 1u);
   EXPECT_GE(snap.counter("ft.ckpt_stores"), 1u);
   EXPECT_GE(snap.counter("ft.ckpt_restored_pages"), 1u);
+}
+
+// White-box: the three ways a restart window reaches a client, replayed
+// deterministically by calling the client's handlers directly.
+
+// A fetch sent while the home was dead (or in flight at its death) is gone
+// with that incarnation; on kPeerUp the client must ask again for every
+// page homed at the peer that is still mid-fetch, or the fault waits forever.
+TEST(CkptTest, PeerUpResendsAFetchStillInFlight) {
+  TUTORDSM_SKIP_IF_UFFD_UNAVAILABLE();
+  System sys(ckpt_config(2, 1));
+  (void)sys.alloc_page_aligned<std::uint64_t>();              // page 0
+  const auto cell = sys.alloc_page_aligned<std::uint64_t>();  // page 1, home = node 1
+  bool completed = false;
+  std::uint64_t seen = 1;
+  sys.run([&](Worker& w) {
+    if (w.id() != 0) return;
+    auto& e = sys.table(0).entry(1);
+    {
+      const MutexLock lock(e.mutex);
+      e.busy = true;  // a fault whose request died with the old home
+    }
+    sys.protocol(0).on_peer_up(1);
+    {
+      const MutexLock lock(e.mutex);
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (e.busy && std::chrono::steady_clock::now() < deadline) {
+        e.cv.wait_for(e.mutex, std::chrono::milliseconds(10));
+      }
+      completed = !e.busy;
+      e.busy = false;
+    }
+    if (completed) seen = test::force_read(w.get(cell));
+  });
+  EXPECT_TRUE(completed) << "the fetch was not re-sent on kPeerUp";
+  EXPECT_EQ(seen, 0u);
+  EXPECT_EQ(sys.stats().counter("ft.fetch_resends"), 1u);
+}
+
+// A flush that reached the restarted home and was also re-sent to it is
+// acked twice. The second final ack must not count toward a later release.
+TEST(CkptTest, DuplicateFinalAckIsIgnored) {
+  TUTORDSM_SKIP_IF_UFFD_UNAVAILABLE();
+  System sys(ckpt_config(2, 1));
+  (void)sys.alloc_page_aligned<std::uint64_t>();              // page 0
+  const auto cell = sys.alloc_page_aligned<std::uint64_t>();  // page 1, home = node 1
+  std::uint64_t observed = 0;
+  sys.run([&](Worker& w) {
+    if (w.id() != 0) return;
+    w.acquire(0);
+    *w.get(cell) = 41;
+    w.release(0);  // the home's final ack retires the flush
+    WireWriter ack(8);
+    ack.put(PageId{1});
+    ack.put(std::uint8_t{1});  // kUpdateAck kind 1: home → writer, final
+    Message dup;
+    dup.type = MsgType::kUpdateAck;
+    dup.src = 1;
+    dup.dst = 0;
+    dup.payload = std::move(ack).take();
+    sys.protocol(0).on_message(dup);
+    w.acquire(0);
+    *w.get(cell) += 1;
+    w.release(0);
+    observed = test::force_read(w.get(cell));
+  });
+  EXPECT_EQ(observed, 42u);
+}
+
+// The re-sent fetch can be answered twice; a reply with no fetch in flight
+// must not install a copy over whatever the page holds now.
+TEST(CkptTest, PageReplyWithoutAFetchInFlightIsDropped) {
+  TUTORDSM_SKIP_IF_UFFD_UNAVAILABLE();
+  System sys(ckpt_config(2, 1));
+  (void)sys.alloc_page_aligned<std::uint64_t>();              // page 0
+  (void)sys.alloc_page_aligned<std::uint64_t>();              // page 1, home = node 1
+  PageState after = PageState::kReadWrite;
+  sys.run([&](Worker& w) {
+    if (w.id() != 0) return;
+    WireWriter reply(sys.config().page_size + 8);
+    reply.put(PageId{1});
+    reply.put_raw(std::vector<std::byte>(sys.config().page_size, std::byte{0xff}));
+    Message stray;
+    stray.type = MsgType::kPageReply;
+    stray.src = 1;
+    stray.dst = 0;
+    stray.payload = std::move(reply).take();
+    sys.protocol(0).on_message(stray);
+    after = sys.table(0).state_of(1);
+  });
+  EXPECT_EQ(after, PageState::kInvalid);
 }
 
 }  // namespace

@@ -254,5 +254,49 @@ TEST(Hlrc, BarrierClearsIntervalLogs) {
   EXPECT_EQ(sys.stats().counter("hlrc.notice_invalidations"), 0u);
 }
 
+// Wire pin: HLRC's lock grant and barrier payloads keep the layout
+// u32 n | n × u32 clock | u32 nrec |
+//     nrec × { u32 node | u32 interval | u32 npages | npages × u32 page }.
+TEST(Hlrc, NoticePayloadsKeepTheirWireLayout) {
+  System sys(hlrc_config(2));
+  const auto a = sys.alloc_page_aligned<std::uint64_t>();  // page 0
+  const auto b = sys.alloc_page_aligned<std::uint64_t>();  // page 1
+  sys.run([&](Worker& w) {
+    if (w.id() != 1) return;
+    w.acquire(0);
+    *w.get(a) = 1;
+    *w.get(b) = 2;
+    w.release(0);  // node 1's interval 1 over pages {0, 1}
+  });
+  auto& p0 = dynamic_cast<HlrcProtocol&>(sys.protocol(0));
+  auto& p1 = dynamic_cast<HlrcProtocol&>(sys.protocol(1));
+  const auto words = [](std::initializer_list<std::uint32_t> list) {
+    WireWriter w;
+    for (const std::uint32_t word : list) w.put(word);
+    return std::move(w).take();
+  };
+  const auto payload = [](auto&& fill) {
+    WireWriter w;
+    fill(w);
+    return std::move(w).take();
+  };
+  const auto with_record = words({2, 0, 1, 1, /*node*/ 1, /*interval*/ 1, /*npages*/ 2, 0, 1});
+
+  EXPECT_EQ(payload([&](WireWriter& w) { p1.fill_lock_grant(0, 0, {}, w); }), with_record);
+  const auto covered = words({2, 0, 1});  // a request whose clock saw interval 1
+  EXPECT_EQ(payload([&](WireWriter& w) { p1.fill_lock_grant(0, 0, covered, w); }),
+            words({2, 0, 1, 0}));
+
+  const auto arrive1 = payload([&](WireWriter& w) { p1.fill_barrier_arrive(0, w); });
+  const auto arrive0 = payload([&](WireWriter& w) { p0.fill_barrier_arrive(0, w); });
+  EXPECT_EQ(arrive1, with_record);
+  EXPECT_EQ(arrive0, words({2, 0, 0, 0}));
+  WireReader in0(arrive0);
+  p0.on_barrier_collect(0, 0, in0);
+  WireReader in1(arrive1);
+  p0.on_barrier_collect(0, 1, in1);
+  EXPECT_EQ(payload([&](WireWriter& w) { p0.fill_barrier_release(0, w); }), with_record);
+}
+
 }  // namespace
 }  // namespace dsm
