@@ -7,9 +7,9 @@
 namespace dsm {
 namespace {
 
+// Sample in [2^(i-1), 2^i); the last bucket also takes every sample >= 2^63.
 int bucket_index(std::uint64_t sample) {
-  if (sample == 0) return 0;
-  return static_cast<int>(std::bit_width(sample));  // sample in [2^(i-1), 2^i)
+  return std::min(static_cast<int>(std::bit_width(sample)), Histogram::kBuckets - 1);
 }
 
 std::uint64_t bucket_upper(int index) {

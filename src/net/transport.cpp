@@ -138,7 +138,8 @@ std::vector<std::byte> encode_datagram(const Message& msg, std::uint32_t attempt
   put_u64(p + 40, static_cast<std::uint64_t>(msg.arrival_time));
   put_u64(p + 48, msg.ack_upto);
   put_u32(p + 56, static_cast<std::uint32_t>(msg.payload.size()));
-  std::memcpy(p + kWireHeaderSize, msg.payload.data(), msg.payload.size());
+  if (!msg.payload.empty())
+    std::memcpy(p + kWireHeaderSize, msg.payload.data(), msg.payload.size());
   put_u32(p + kChecksumOffset, datagram_checksum(out));
   return out;
 }

@@ -1,7 +1,6 @@
 // The application-side fault transaction shared by every page-fetching
-// protocol (erc, hlrc, qrc, ivy-manager, ivy-dynamic), and sequential
-// prefetch. LRC's fault is a different transaction (base copy plus lazily
-// fetched diffs) and keeps its own.
+// protocol (erc, lrc, hlrc, qrc, ivy-manager, ivy-dynamic), and sequential
+// prefetch.
 #pragma once
 
 #include "common/thread_annotations.hpp"

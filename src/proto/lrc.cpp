@@ -1,6 +1,7 @@
 #include "proto/lrc.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "mem/diff.hpp"
@@ -41,6 +42,7 @@ LrcProtocol::LrcProtocol(NodeContext& ctx)
              }
            }),
       pending_(ctx.cfg->n_pages),
+      inbox_(ctx.cfg->n_pages),
       twins_(ctx) {}
 
 std::string_view LrcProtocol::name() const { return "lrc"; }
@@ -48,6 +50,7 @@ std::string_view LrcProtocol::name() const { return "lrc"; }
 void LrcProtocol::init_pages() {
   page_io::reset_pages(ctx_, PageState::kReadOnly, PageState::kInvalid);
   for (auto& notices : pending_) notices.clear();
+  for (auto& records : inbox_) records.clear();
   twins_.clear();
   push_acks_.reset();
   barrier_gen_.clear();
@@ -57,102 +60,65 @@ void LrcProtocol::init_pages() {
   const MutexLock meta(log_.mutex);
   log_.reset();
   diff_cache_.clear();
-  diff_inbox_.clear();
   settle_buffer_.clear();
 }
 
 // --------------------------------------------------------------------------
-// Faults (application thread)
+// Faults: the app thread starts a fetch, the service thread completes it
 // --------------------------------------------------------------------------
 
 void LrcProtocol::on_read_fault(PageId page) {
-  ctx_.stats->counter("proto.read_faults").add();
-  make_page_valid(page);
+  run_fault(
+      ctx_, page, PageState::kReadOnly, /*timed=*/true, [](PageEntry&) { return false; },
+      [&] { fetch(page); });
 }
 
 void LrcProtocol::on_write_fault(PageId page) {
-  ctx_.stats->counter("proto.write_faults").add();
+  twins_.write_fault(page, [&] { fetch(page); });
+}
+
+void LrcProtocol::fetch(PageId page) {
   auto& e = ctx_.table->entry(page);
-  for (;;) {
-    {
-      const MutexLock lock(e.mutex);
-      if (e.state == PageState::kReadWrite) return;
-      if (e.state == PageState::kReadOnly) {
-        // Multiple-writer upgrade: twin now, diff at the next sync. Local.
-        twins_.upgrade(page, e);
-        return;
-      }
-    }
-    make_page_valid(page);
+  {
+    const MutexLock lock(e.mutex);
+    if (e.has_base) return request_diffs(page, e);
+  }
+  fetch_from_home(ctx_, page, /*prefetch=*/false);
+}
+
+void LrcProtocol::request_diffs(PageId page, PageEntry& e) {
+  // Take the notices learned so far, grouped by writer, and fetch each
+  // writer's diffs.
+  std::map<NodeId, std::vector<std::uint32_t>> by_writer;
+  for (const auto& n : std::exchange(pending_[page], {})) {
+    by_writer[n.writer].push_back(n.interval);
+  }
+  if (by_writer.empty()) return complete(page, e);
+  e.acks_outstanding = static_cast<int>(by_writer.size());
+  for (const auto& [writer, intervals] : by_writer) {
+    WireWriter w(16 + intervals.size() * 4);
+    w.put(page);
+    w.put(ctx_.id);
+    w.put(static_cast<std::uint32_t>(intervals.size()));
+    for (const auto i : intervals) w.put(i);
+    ctx_.send(MsgType::kDiffRequest, writer, std::move(w).take());
+    ctx_.stats->counter("lrc.diff_requests").add();
   }
 }
 
-void LrcProtocol::make_page_valid(PageId page) {
-  auto& e = ctx_.table->entry(page);
-  RelockableMutexLock lock(e.mutex);
-  if (e.state != PageState::kInvalid) return;
-  e.busy = true;
-  const bool need_base = !e.has_base;
-  std::vector<WriteNotice> notices = std::move(pending_[page]);
-  pending_[page].clear();
-  lock.unlock();
-
-  ctx_.clock->advance(kFaultNs);
-  const VirtualTime t0 = ctx_.clock->now();
-
-  if (need_base) {
-    fetch_from_home(ctx_, page, /*prefetch=*/false);
-    lock.lock();
-    while (!e.has_base) e.cv.wait(e.mutex);
-    lock.unlock();
-  }
-
-  if (!notices.empty()) {
-    // Group the unapplied notices by writer and fetch each writer's diffs.
-    std::map<NodeId, std::vector<std::uint32_t>> by_writer;
-    for (const auto& n : notices) by_writer[n.writer].push_back(n.interval);
-    {
-      const MutexLock g(e.mutex);
-      e.acks_outstanding = static_cast<int>(by_writer.size());
-    }
-    for (const auto& [writer, intervals] : by_writer) {
-      WireWriter w(16 + intervals.size() * 4);
-      w.put(page);
-      w.put(ctx_.id);
-      w.put(static_cast<std::uint32_t>(intervals.size()));
-      for (const auto i : intervals) w.put(i);
-      ctx_.send(MsgType::kDiffRequest, writer, std::move(w).take());
-      ctx_.stats->counter("lrc.diff_requests").add();
-    }
-    lock.lock();
-    while (e.acks_outstanding != 0) e.cv.wait(e.mutex);
-    lock.unlock();
-
-    std::vector<DiffRecord> records;
-    {
-      const MutexLock meta(log_.mutex);
-      auto it = diff_inbox_.find(page);
-      if (it != diff_inbox_.end()) {
-        records = std::move(it->second);
-        diff_inbox_.erase(it);
-      }
-    }
-    std::sort(records.begin(), records.end(), by_stamp);
-    lock.lock();
-    // Service window: the page stays PROT_NONE while the diffs land.
-    for (const auto& rec : records) twins_.apply(page, e, rec.bytes);
-    lock.unlock();
-  }
-
-  lock.lock();
+void LrcProtocol::complete(PageId page, PageEntry& e) {
+  auto& records = inbox_[page];
+  std::sort(records.begin(), records.end(), by_stamp);
+  // Service window: the page stays PROT_NONE while the diffs land.
+  for (const auto& rec : records) twins_.apply(page, e, rec.bytes);
+  records.clear();
   // Mid-write when the page was invalidated: restore write access.
-  page_io::set_state(ctx_, page, e,
-                     e.twin != nullptr ? PageState::kReadWrite : PageState::kReadOnly);
+  if (pending_[page].empty()) {
+    page_io::set_state(ctx_, page, e,
+                       e.twin != nullptr ? PageState::kReadWrite : PageState::kReadOnly);
+  }
   e.busy = false;
-  ctx_.stats->histogram("proto.fault_service_ns").record(ctx_.clock->now() - t0);
-  if (ctx_.trace != nullptr)
-    ctx_.trace->complete(ctx_.id, TraceCat::kProto, "fault-txn", t0,
-                         ctx_.clock->now(), "page", page);
+  e.cv.notify_all();
 }
 
 // --------------------------------------------------------------------------
@@ -267,13 +233,11 @@ void LrcProtocol::handle_page_reply(const Message& msg) {
   const auto page = r.get<PageId>();
   const auto bytes = page_io::get_page(ctx_, r);
   auto& e = ctx_.table->entry(page);
-  {
-    const MutexLock lock(e.mutex);
-    DSM_CHECK(!e.has_base && e.twin == nullptr);
-    page_io::write_page(ctx_, page, bytes);
-    e.has_base = true;
-  }
-  e.cv.notify_all();
+  const MutexLock lock(e.mutex);
+  DSM_CHECK(!e.has_base && e.twin == nullptr);
+  page_io::write_page(ctx_, page, bytes);
+  e.has_base = true;
+  request_diffs(page, e);
 }
 
 void LrcProtocol::handle_diff_request(const Message& msg) {
@@ -308,27 +272,19 @@ void LrcProtocol::handle_diff_reply(const Message& msg) {
   WireReader r(msg.payload);
   const auto page = r.get<PageId>();
   const auto n = r.get<std::uint32_t>();
-  {
-    const MutexLock meta(log_.mutex);
-    auto& inbox = diff_inbox_[page];
-    for (std::uint32_t i = 0; i < n; ++i) {
-      DiffRecord rec;
-      rec.interval = r.get<std::uint32_t>();
-      rec.stamp = r.get<std::uint64_t>();
-      rec.writer = msg.src;
-      const auto bytes = r.get_bytes();
-      rec.bytes.assign(bytes.begin(), bytes.end());
-      inbox.push_back(std::move(rec));
-    }
-  }
   auto& e = ctx_.table->entry(page);
-  bool done;
-  {
-    const MutexLock lock(e.mutex);
-    DSM_CHECK(e.acks_outstanding > 0);
-    done = --e.acks_outstanding == 0;
+  const MutexLock lock(e.mutex);
+  DSM_CHECK(e.acks_outstanding > 0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    DiffRecord rec;
+    rec.interval = r.get<std::uint32_t>();
+    rec.stamp = r.get<std::uint64_t>();
+    rec.writer = msg.src;
+    const auto bytes = r.get_bytes();
+    rec.bytes.assign(bytes.begin(), bytes.end());
+    inbox_[page].push_back(std::move(rec));
   }
-  if (done) e.cv.notify_all();
+  if (--e.acks_outstanding == 0) complete(page, e);
 }
 
 // --------------------------------------------------------------------------
@@ -382,7 +338,6 @@ void LrcProtocol::on_barrier_release(BarrierId, WireReader& in) {
     settle_buffer_.clear();
     log_.collect_garbage();
     diff_cache_.clear();
-    DSM_CHECK(diff_inbox_.empty());
   }
 
   for (auto& [page, records] : pushed) {

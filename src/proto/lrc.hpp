@@ -3,10 +3,12 @@
 // recorded as *write notices*. A lock grant piggybacks only the notices the
 // acquirer has not seen (filtered by its vector clock); the acquirer
 // invalidates those pages and fetches the actual *diffs* lazily, on its next
-// fault, directly from the writers. Barriers are the global settle-up: every
-// node ships its intervals *with* diffs to the manager, which broadcasts the
-// merged set; everyone applies, and all protocol metadata is garbage
-// collected.
+// fault, directly from the writers: the fault sends the first request (a
+// base copy from the home, or the diffs) and the service thread completes
+// the base-and-diff fetch as the replies land. Barriers are the global
+// settle-up: every node ships its intervals *with* diffs to the manager,
+// which broadcasts the merged set; everyone applies, and all protocol
+// metadata is garbage collected.
 //
 // Diffs are applied in stamp order: a diff is stamped with the sum of its
 // interval's vector clock, which strictly grows along happens-before, so
@@ -80,9 +82,18 @@ class LrcProtocol final : public Protocol {
   /// diffs, downgrades pages to read-only, records the interval. App thread.
   void close_interval();
 
-  /// The common fault engine: ensure a base copy, fetch and apply pending
-  /// diffs, and leave the page read-only. App thread.
-  void make_page_valid(PageId page);
+  /// A fault's fetch (run_fault, with the page busy): asks the home for a
+  /// base copy or, with a base there, the pending notices' writers for
+  /// their diffs.
+  void fetch(PageId page);
+  /// Takes the page's pending notices into the transaction and sends one
+  /// diff request per writer, or with none completes it.
+  void request_diffs(PageId page, PageEntry& e) REQUIRES(e.mutex);
+  /// Applies the fetched diffs in stamp order and ends the transaction. The
+  /// copy becomes readable (writable if its interval is still open) unless
+  /// a notice arrived during the fetch; then it stays invalid and the fault
+  /// fetches again.
+  void complete(PageId page, PageEntry& e) REQUIRES(e.mutex);
 
   void handle_page_request(const Message& msg);
   void handle_page_reply(const Message& msg);
@@ -94,11 +105,12 @@ class LrcProtocol final : public Protocol {
   NoticeLog log_;
   /// My own diffs: page → records ascending by interval.
   std::map<PageId, std::vector<DiffRecord>> diff_cache_ GUARDED_BY(log_.mutex);
-  /// Diff replies parked for the faulting app thread: page → records.
-  std::map<PageId, std::vector<DiffRecord>> diff_inbox_ GUARDED_BY(log_.mutex);
 
-  // ---- per-page pending notices, guarded by that page's entry mutex ----
+  // ---- per page, guarded by that page's entry mutex ----
+  /// Notices learned and not yet requested.
   std::vector<std::vector<WriteNotice>> pending_;
+  /// The in-flight fetch's diff replies so far.
+  std::vector<std::vector<DiffRecord>> inbox_;
 
   TwinSet twins_;
 

@@ -30,7 +30,7 @@ class TwinSet {
   /// still open), make it writable and list it dirty. Zero messages.
   void upgrade(PageId page, PageEntry& e) REQUIRES(e.mutex);
 
-  /// The write fault of erc, hlrc and qrc: a read-only copy upgrades in
+  /// The write fault of erc, lrc, hlrc and qrc: a read-only copy upgrades in
   /// place; otherwise `fetch()` brings a copy first, fetching again if a
   /// racing invalidation revokes it before this thread runs. Counted once
   /// per fault and untimed.

@@ -132,6 +132,7 @@ TEST(Histogram, QuantileClampsOutOfRangeQ) {
 TEST(Histogram, LargeSamplesSaturateWithoutOverflow) {
   Histogram h;
   h.record(~0ULL);
+  EXPECT_EQ(h.count(), 1u);
   EXPECT_EQ(h.max(), ~0ULL);
   EXPECT_EQ(h.quantile(1.0), ~0ULL);
 }

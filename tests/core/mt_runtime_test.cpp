@@ -11,8 +11,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "common/thread_attach.hpp"
 #include "core/dsm.hpp"
+#include "mem/fault_engine.hpp"
 
 namespace dsm {
 namespace {
@@ -94,46 +96,37 @@ TEST(MtRuntimeDeathTest, DoubleAttachAborts) {
       "already attached");
 }
 
-// The coalescing gate: two nodes ping-pong one page (node 1 writes,
-// invalidating node 0's copy; node 0's threads re-fault it) while several
-// sibling readers on node 0 race into the same read fault. Concurrent
-// same-page faults must fold into one in-flight service — visible as
-// mem.fault_coalesced ticking — rather than each issuing its own fetch.
+// The coalescing gate, driven at engine level: a fault on a page whose
+// service is already in flight must fold into that service — visible as
+// mem.fault_coalesced ticking — rather than dispatch its own. The handler
+// for page 0 parks until the second toucher's fault has been counted, and
+// that toucher starts only once the handler is parked, so the two faults
+// always overlap.
 TEST(MtRuntime, SamePageFaultsCoalesce) {
   REQUIRE_UFFD();
-  System sys(mt_config(2, 2));
-  const auto cell = sys.alloc_page_aligned<int>();
-  std::atomic<bool> done{false};
-  sys.run([&](Worker& w) {
-    if (w.id() == 1) {
-      int i = 0;
-      while (!done.load(std::memory_order_relaxed))
-        *w.get(cell) = ++i;  // each write re-invalidates node 0's readers
-      return;
-    }
-    std::vector<std::thread> sibs;
-    for (int s = 0; s < 3; ++s) {
-      sibs.push_back(w.spawn([&](Worker& r) {
-        const volatile int* p = r.get(cell);
-        int sink = 0;
-        while (!done.load(std::memory_order_relaxed)) sink += *p;
-        (void)sink;
-      }));
-    }
-    // Primary reads too, and watches the counter; bounded so a regression
-    // fails fast instead of hanging the suite.
-    const volatile int* p = w.get(cell);
-    int sink = 0;
-    for (int round = 0; round < 200'000; ++round) {
-      sink += *p;
-      if (round % 256 == 0 &&
-          sys.stats().counter("mem.fault_coalesced") > 0)
-        break;
-    }
-    done = true;
-    for (auto& t : sibs) t.join();
-  });
-  EXPECT_GT(sys.stats().counter("mem.fault_coalesced"), 0u)
+  StatsRegistry stats;
+  const auto engine = make_fault_engine(FaultEngineKind::kUffd, &stats);
+  ViewRegion view(1, ViewRegion::os_page_size());
+  std::atomic<bool> parked{false};
+  RegionHooks hooks;
+  hooks.app_threads = 2;  // the dispatcher and its executor pool
+  hooks.on_fault = [&](PageId page, std::size_t, bool) {
+    parked = true;
+    // Bounded, so a regression fails fast instead of hanging the suite.
+    for (int i = 0; i < 5000 && stats.snapshot().counter("mem.fault_coalesced") == 0; ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    view.protect(page, Access::kRead);
+  };
+  hooks.infer_write = [](PageId) { return false; };
+  const int token = engine->add_region(&view, std::move(hooks));
+  const auto touch = [&] { (void)*static_cast<volatile const std::byte*>(view.page_ptr(0)); };
+  std::thread first(touch);
+  while (!parked.load()) std::this_thread::yield();
+  std::thread second(touch);
+  first.join();
+  second.join();
+  engine->remove_region(token);
+  EXPECT_GT(stats.snapshot().counter("mem.fault_coalesced"), 0u)
       << "concurrent same-page faults never coalesced into one service";
 }
 

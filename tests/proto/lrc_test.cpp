@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 
 #include "core/dsm.hpp"
 #include "proto/lrc.hpp"
@@ -368,6 +369,62 @@ TEST(Lrc, ColdFaultAfterBarrierServedByHome) {
   });
   EXPECT_EQ(seen.load(), 5u);
   EXPECT_GE(sys.stats().counter("net.msgs.PageRequest"), 1u);
+}
+
+// A notice that a sibling thread's lock grant delivers while a fault's diff
+// fetch is in flight keeps the copy invalid, and the fault fetches again.
+// Node 1's primary read-faults page 0 over writer A's (node 2) notice while
+// A's diff reply is dropped; meanwhile its sibling acquires lock 3, whose
+// grant from node 3 carries writer B's (node 3) notice for the same page.
+// Neither B nor lock 3's home is A, so the held link delays nothing else.
+TEST(Lrc, NoticeDuringFetchKeepsCopyInvalid) {
+  std::string reason;
+  if (!uffd_available(&reason)) GTEST_SKIP() << "[uffd unavailable] " << reason;
+  Config cfg = lrc_config(4);
+  cfg.fault_engine = FaultEngineKind::kUffd;
+  cfg.app_threads = 2;
+  std::atomic<bool> hold{false}, held{false}, primary_read{false};  // outlive the hook
+  std::atomic<int> writers_done{0};
+  System sys(cfg);
+  const auto a_word = sys.alloc_page_aligned<std::uint64_t>(2);  // page 0
+  const auto b_word = a_word + 1;
+  // Until released, every attempt of A's diff reply to node 1 is lost; the
+  // reliable sublayer re-sends it afterwards.
+  sys.network().set_drop_hook([&](const Message& msg) {
+    if (msg.type != MsgType::kDiffReply || msg.src != 2 || msg.dst != 1 || !hold) return false;
+    held = true;
+    return true;
+  });
+  std::uint64_t a_seen = 0, b_seen = 0;
+  sys.run([&](Worker& w) {
+    if (w.id() == 2 || w.id() == 3) {
+      const LockId lock = w.id() == 2 ? 0 : 3;
+      w.acquire(lock);
+      *w.get(w.id() == 2 ? a_word : b_word) = w.id() == 2 ? 111 : 222;
+      w.release(lock);
+      writers_done++;
+    }
+    if (w.id() == 1) {
+      while (writers_done.load() < 2) std::this_thread::yield();
+      w.acquire(0);  // the grant carries A's notice
+      hold = true;
+      std::thread sibling = w.spawn([&](Worker& s) {
+        while (!held) std::this_thread::yield();
+        s.acquire(3);  // the grant carries B's notice, mid-fetch
+        hold = false;
+        while (!primary_read) std::this_thread::yield();
+        b_seen = test::force_read(s.get(b_word));
+        s.release(3);
+      });
+      a_seen = test::force_read(w.get(a_word));
+      primary_read = true;
+      sibling.join();
+      w.release(0);
+    }
+    w.barrier(0);
+  });
+  EXPECT_EQ(a_seen, 111u);
+  EXPECT_EQ(b_seen, 222u) << "the copy was validated without B's diff";
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "core/dsm.hpp"
 
 #include "../gtest_util.hpp"
+#include "../test_util.hpp"
 
 namespace dsm {
 namespace {
@@ -230,6 +231,45 @@ INSTANTIATE_TEST_SUITE_P(
         MatrixCase{ProtocolKind::kHlrc, 4, 2}, MatrixCase{ProtocolKind::kEc, 3, 1},
         MatrixCase{ProtocolKind::kEc, 5, 1}),
     case_name);
+
+// A write to a read-only copy is one write fault in every multiple-writer
+// protocol: the upgrade twins the page locally, counts one
+// proto.write_faults and charges exactly one kFaultNs.
+class UpgradeChargeTest : public ::testing::TestWithParam<ProtocolKind> {};
+
+TEST_P(UpgradeChargeTest, ReadOnlyToWritableChargesOneFault) {
+  Config cfg;
+  cfg.n_nodes = 1;
+  cfg.n_pages = 4;
+  cfg.page_size = ViewRegion::os_page_size();
+  cfg.protocol = GetParam();
+  System sys(cfg);
+  const auto cell = sys.alloc_page_aligned<std::uint64_t>();
+  VirtualTime charged = 0;
+  std::uint64_t write_faults = 0;
+  sys.run([&](Worker& w) {
+    test::force_read(w.get(cell));  // a read-only copy
+    const auto faults_before = sys.stats().counter("proto.write_faults");
+    const VirtualTime t0 = w.now();
+    *w.get(cell) = 1;
+    charged = w.now() - t0;
+    write_faults = sys.stats().counter("proto.write_faults") - faults_before;
+  });
+  EXPECT_EQ(charged, kFaultNs);
+  EXPECT_EQ(write_faults, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(MultipleWriters, UpgradeChargeTest,
+                         ::testing::Values(ProtocolKind::kLrc, ProtocolKind::kErcInvalidate,
+                                           ProtocolKind::kErcUpdate, ProtocolKind::kHlrc,
+                                           ProtocolKind::kQrc),
+                         [](const ::testing::TestParamInfo<ProtocolKind>& pi) {
+                           std::string s = to_string(pi.param);
+                           for (auto& c : s) {
+                             if (c == '-') c = '_';
+                           }
+                           return s;
+                         });
 
 }  // namespace
 }  // namespace dsm

@@ -101,15 +101,24 @@ TEST_P(RwLockTest, ReadersSeeTheLastWritersData) {
 }
 
 TEST_P(RwLockTest, WriterNotStarvedByReaderStream) {
-  System sys(rw_config(GetParam(), 5));
   std::atomic<bool> writer_done{false};
   std::atomic<int> reads_after_writer_queued{0};
-  std::atomic<bool> writer_queued{false};
+  std::atomic<bool> writer_queued{false};  // outlives the hook below
+  System sys(rw_config(GetParam(), 5));
+  // The writer counts as queued once its write-mode request (u32 lock |
+  // u32 origin | u8 mode, mode 3) reaches the lock's home: reads the home
+  // admitted before that are not the writer's to wait out.
+  sys.network().set_delivery_hook([&](const Message& msg) {
+    if (msg.type != MsgType::kLockRequest || msg.src != 0) return;
+    WireReader r(msg.payload);
+    const auto lock = r.get<LockId>();
+    r.get<NodeId>();
+    if (lock == 2 && r.get<std::uint8_t>() == 3) writer_queued = true;
+  });
 
   sys.run([&](Worker& w) {
     if (w.id() == 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
-      writer_queued = true;
       w.acquire_write(2);
       writer_done = true;
       w.release_write(2);
