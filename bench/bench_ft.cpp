@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
                  bench::fmt_ms(r.virtual_ns), bench::fmt_double(r.wall_ms, 1),
                  bench::fmt_double(incr_per_s, 0),
                  bench::fmt_count(r.snap.counter("net.msgs")),
-                 bench::fmt_count(r.snap.counter("qrc.flushes"))});
+                 bench::fmt_count(r.snap.counter("proto.flushes"))});
     }
   }
   a.print();

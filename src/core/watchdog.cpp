@@ -43,29 +43,29 @@ Watchdog::~Watchdog() {
 Watchdog::Guard::Guard(Watchdog* wd, std::size_t slot, const char* what,
                        std::uint64_t detail)
     : wd_(wd), slot_(slot) {
-  if (wd_ != nullptr) wd_->push(slot, what, detail);
+  if (wd_ != nullptr) frame_ = wd_->push(slot, what, detail);
 }
 
 Watchdog::Guard::~Guard() {
-  if (wd_ != nullptr) wd_->pop(slot_);
+  if (wd_ != nullptr) wd_->pop(slot_, frame_);
 }
 
-void Watchdog::push(std::size_t slot, const char* what, std::uint64_t detail) {
-  Slot& s = slots_[slot];
-  const int d = s.depth.load(std::memory_order_relaxed);
-  DSM_CHECK_MSG(d < kMaxDepth, "watchdog guard stack overflow on slot " << slot);
-  Slot::Frame& f = s.frames[d];
-  f.what.store(what, std::memory_order_relaxed);
-  f.detail.store(detail, std::memory_order_relaxed);
-  f.since_ns.store(steady_now_ns(), std::memory_order_relaxed);
-  s.depth.store(d + 1, std::memory_order_release);
+int Watchdog::push(std::size_t slot, const char* what, std::uint64_t detail) {
+  const std::int64_t now = steady_now_ns();
+  for (int i = 0; i < kMaxDepth; ++i) {
+    Slot::Frame& f = slots_[slot].frames[i];
+    std::int64_t free = 0;
+    if (!f.since_ns.compare_exchange_strong(free, now, std::memory_order_relaxed)) continue;
+    f.what.store(what, std::memory_order_relaxed);
+    f.detail.store(detail, std::memory_order_relaxed);
+    return i;
+  }
+  DSM_CHECK_MSG(false, "watchdog guard stack overflow on slot " << slot);
+  return -1;
 }
 
-void Watchdog::pop(std::size_t slot) {
-  Slot& s = slots_[slot];
-  const int d = s.depth.load(std::memory_order_relaxed);
-  DSM_CHECK(d > 0);
-  s.depth.store(d - 1, std::memory_order_release);
+void Watchdog::pop(std::size_t slot, int frame) {
+  slots_[slot].frames[frame].since_ns.store(0, std::memory_order_relaxed);
 }
 
 void Watchdog::scan_loop() {
@@ -80,13 +80,20 @@ void Watchdog::scan_loop() {
     const std::int64_t now = steady_now_ns();
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       Slot& s = slots_[i];
-      const int d = s.depth.load(std::memory_order_acquire);
-      if (d <= 0) continue;
-      const Slot::Frame& f = s.frames[d - 1];
-      const std::int64_t since = f.since_ns.load(std::memory_order_relaxed);
+      const Slot::Frame* newest = nullptr;
+      std::int64_t since = 0;
+      for (const Slot::Frame& f : s.frames) {
+        const std::int64_t t = f.since_ns.load(std::memory_order_relaxed);
+        if (t > since) {
+          newest = &f;
+          since = t;
+        }
+      }
+      if (newest == nullptr) continue;
       const std::int64_t stuck_ms = (now - since) / 1'000'000;
       if (stuck_ms < static_cast<std::int64_t>(bound_ms_)) continue;
 
+      const Slot::Frame& f = *newest;
       const char* what = f.what.load(std::memory_order_relaxed);
       std::cerr << "[tutordsm] WATCHDOG: node " << i / threads_per_node_;
       if (threads_per_node_ > 1) {

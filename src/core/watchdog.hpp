@@ -44,8 +44,8 @@ class Watchdog {
   bool enabled() const { return bound_ms_ > 0; }
 
   /// RAII bracket around one blocking operation on `slot`'s app thread.
-  /// Nests (a fault taken inside a release flush); cheap: two relaxed
-  /// atomic stores each way.
+  /// Nests (a fault taken inside a release flush) and may close out of
+  /// order; cheap: a few relaxed atomic operations each way.
   class Guard {
    public:
     Guard(Watchdog* wd, std::size_t slot, const char* what, std::uint64_t detail);
@@ -56,6 +56,7 @@ class Watchdog {
    private:
     Watchdog* wd_;
     std::size_t slot_;
+    int frame_ = 0;
   };
 
   /// Convenience factory (no-op guard when `wd` is null or disabled).
@@ -79,22 +80,25 @@ class Watchdog {
  private:
   static constexpr int kMaxDepth = 4;
 
-  /// One app thread's stack of active blocking operations. Written only by
-  /// that thread; read by the watchdog thread (acquire on depth pairs with
-  /// release on push, so a nonzero depth implies the frame is visible).
+  /// One app thread's open blocking operations, one frame per guard; read
+  /// by the watchdog thread. Mostly its own thread writes them, but a uffd
+  /// executor re-servicing a fault whose thread another wake already
+  /// resumed opens its handler's guard here while that thread is back in
+  /// its own operation. So each guard claims a free frame (since_ns 0 →
+  /// its start), guards close in any order, and the scanner reports the
+  /// newest open frame.
   struct Slot {
     struct Frame {
       std::atomic<const char*> what{nullptr};
       std::atomic<std::uint64_t> detail{0};
-      std::atomic<std::int64_t> since_ns{0};  // realclock epoch offset
+      std::atomic<std::int64_t> since_ns{0};  // realclock epoch offset; 0 = free
     };
     Frame frames[kMaxDepth];
-    std::atomic<int> depth{0};
     std::atomic<std::uint32_t> ktid{0};  ///< OS thread bound to this slot
   };
 
-  void push(std::size_t slot, const char* what, std::uint64_t detail);
-  void pop(std::size_t slot);
+  int push(std::size_t slot, const char* what, std::uint64_t detail);
+  void pop(std::size_t slot, int frame);
   void scan_loop();
 
   std::uint32_t bound_ms_;

@@ -513,8 +513,9 @@ class UffdEngine final : public FaultEngine {
         // fault against a wake that has already happened and the thread
         // would park forever. Erasing first means every fault the poller
         // coalesced is covered by the wake below, and any fault arriving
-        // after the erase is dispatched fresh (a spurious re-service of a
-        // page that already has rights is harmless, as with SIGSEGV races).
+        // after the erase is dispatched fresh. A spurious re-service of a
+        // page that already has rights, as with SIGSEGV races, runs its
+        // handler for a thread already back in its own op (Watchdog::Slot).
         const MutexLock lock(region.queue_mutex);
         region.in_flight.erase(fault.page);
       }

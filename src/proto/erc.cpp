@@ -58,51 +58,33 @@ void ErcProtocol::on_write_fault(PageId page) {
 }
 
 void ErcProtocol::flush_dirty() {
-  // take() registers this flush's acks along with the swap, so a racer that
-  // takes an empty list still waits them out below: no release completes
-  // before every page dirtied under it has reached its home.
-  const std::vector<PageId> dirty = twins_.take(flush_acks_);
-  if (!dirty.empty()) {
-    ++n_flushes_;
-    // Release-time fan-out batching: updates for pages sharing a home
-    // coalesce into one kBatch datagram when the scope closes.
-    Network::BatchScope batch(ctx_.net);
-    for (const PageId page : dirty) {
-      auto& e = ctx_.table->entry(page);
-      std::vector<std::byte> field;
-      std::size_t diff_bytes = 0;
-      {
-        const MutexLock lock(e.mutex);
-        // Re-protect so the next write re-twins in a fresh interval.
-        const auto closed = twins_.close(page, e, PageState::kReadOnly);
-        diff_bytes = closed.diff.size();
-        if (ctx_.home_of(page) != ctx_.id && !ft()) {
-          // The XOR form is sound here: the home's copy matches our twin on
-          // every diffed word (DRF — nobody else wrote them this interval).
-          // Under FT the value form is used instead: a flush re-sent to a
-          // restarted home decodes against a rolled-back base, where an XOR
-          // would corrupt the very words it released.
-          field = page_io::pack_diff_field_xor(ctx_, closed.diff, ctx_.view->alias_span(page),
-                                               {closed.twin.get(), ctx_.cfg->page_size});
-        } else {
-          // Self-update via loopback: by decode time our live page already
-          // holds the new values, so there is no twin-equal base to XOR
-          // against — ship the value form.
-          field = page_io::pack_diff_field(ctx_, closed.diff);
-        }
-      }
-      ctx_.stats->counter("erc.diff_bytes").add(diff_bytes);
-      if (ft() && ctx_.home_of(page) != ctx_.id) {
-        // Keep the encoded field until the home's final ack: if this
-        // incarnation of the home crashes first, the kPeerUp handler
-        // re-sends it verbatim.
-        const MutexLock lock(ft_mutex_);
-        ft_outstanding_.emplace(
-            page, Unacked{ctx_.net->liveness().incarnation(ctx_.home_of(page)), field});
-      }
-      ctx_.send(MsgType::kUpdate, ctx_.home_of(page), update_msg(page, kToHome, field));
+  // Re-protect each page so the next write re-twins in a fresh interval.
+  twins_.flush(flush_acks_, PageState::kReadOnly, [&](PageId page, const TwinSet::Closed& closed) {
+    ctx_.stats->counter("erc.diff_bytes").add(closed.diff.size());
+    const NodeId home = ctx_.home_of(page);
+    std::vector<std::byte> field;
+    if (home != ctx_.id && !ft()) {
+      // The XOR form is sound here: the home's copy matches our twin on
+      // every diffed word (DRF — nobody else wrote them this interval).
+      // Under FT the value form is used instead: a flush re-sent to a
+      // restarted home decodes against a rolled-back base, where an XOR
+      // would corrupt the very words it released.
+      field = page_io::pack_diff_field_xor(ctx_, closed.diff, ctx_.view->alias_span(page),
+                                           {closed.twin.get(), ctx_.cfg->page_size});
+    } else {
+      // Self-update via loopback: by decode time our live page already
+      // holds the new values, so there is no twin-equal base to XOR
+      // against — ship the value form.
+      field = page_io::pack_diff_field(ctx_, closed.diff);
     }
-  }
+    if (ft() && home != ctx_.id) {
+      // Keep the encoded field until the home's final ack: if this
+      // incarnation of the home crashes first, the kPeerUp handler re-sends
+      // it verbatim.
+      unacked_.add(page, {home, ctx_.net->liveness().incarnation(home), field});
+    }
+    return ctx_.make(MsgType::kUpdate, home, update_msg(page, kToHome, field));
+  });
   flush_acks_.wait();
 }
 
@@ -308,12 +290,7 @@ void ErcProtocol::handle_update_ack(const Message& msg) {
     // Final ack to the releasing writer. Under FT a flush that reached a
     // restarted home and was also re-sent to it is acked twice: the ack
     // that finds no unacked flush is the duplicate.
-    if (ft() && ctx_.home_of(page) != ctx_.id) {
-      const MutexLock lock(ft_mutex_);
-      const auto it = ft_outstanding_.find(page);
-      if (it == ft_outstanding_.end()) return;
-      ft_outstanding_.erase(it);
-    }
+    if (ft() && ctx_.home_of(page) != ctx_.id && !unacked_.retire(page)) return;
     flush_acks_.ack();
     return;
   }
@@ -498,19 +475,12 @@ void ErcProtocol::on_peer_up(NodeId peer) {
   // old incarnation may have lost (value form — idempotent against the
   // restored base). One sent to the new incarnation is delivered already.
   const std::uint32_t incarnation = ctx_.net->liveness().incarnation(peer);
-  std::vector<std::pair<PageId, std::vector<std::byte>>> resend;
-  {
-    const MutexLock lock(ft_mutex_);
-    for (auto& [page, flush] : ft_outstanding_) {
-      if (ctx_.home_of(page) != peer || flush.incarnation >= incarnation) continue;
-      flush.incarnation = incarnation;
-      resend.emplace_back(page, flush.field);
-    }
-  }
-  for (auto& [page, field] : resend) {
+  unacked_.for_each([&](PageId page, Unacked::Flush& flush) {
+    if (flush.target != peer || flush.incarnation >= incarnation) return;
+    flush.incarnation = incarnation;
     ctx_.stats->counter("ft.flush_resends").add();
-    ctx_.send(MsgType::kUpdate, peer, update_msg(page, kToHome, field));
-  }
+    ctx_.send(MsgType::kUpdate, peer, update_msg(page, kToHome, flush.field));
+  });
   // Fetches into the crash window were dropped with the old incarnation.
   for (PageId p = 0; p < ctx_.table->n_pages(); ++p) {
     if (ctx_.home_of(p) != peer) continue;
@@ -527,10 +497,7 @@ void ErcProtocol::on_self_restart() {
   page_io::reset_pages(ctx_, PageState::kInvalid, PageState::kInvalid);
   twins_.clear();
   flush_acks_.reset();
-  {
-    const MutexLock lock(ft_mutex_);
-    ft_outstanding_.clear();
-  }
+  unacked_.clear();
   {
     const MutexLock lock(txn_mutex_);
     txns_.clear();

@@ -10,7 +10,6 @@
 // on its next fault.
 #pragma once
 
-#include <atomic>
 #include <deque>
 #include <map>
 #include <set>
@@ -47,9 +46,6 @@ class ErcProtocol final : public Protocol {
   void on_peer_down(NodeId peer) override;
   void on_peer_up(NodeId peer) override;
   void on_self_restart() override;
-
-  /// Number of flushes performed (tests/benches).
-  std::uint64_t flushes() const { return n_flushes_; }
 
   /// The node holding this node's checkpoints (tests).
   NodeId buddy() const {
@@ -113,21 +109,12 @@ class ErcProtocol final : public Protocol {
   Mutex txn_mutex_ ACQUIRED_BEFORE(lock_order::fabric_gate);
   std::map<PageId, HomeTxn> txns_ GUARDED_BY(txn_mutex_);
 
-  // Flush counter tests read after the run is quiescent (the join orders
-  // the read); atomic because two app threads may flush concurrently.
-  std::atomic<std::uint64_t> n_flushes_{0};
   // One ack per flushed page, from its home once the release transaction
   // completed there.
   AckCount flush_acks_;
-  // FT only: unacked flush fields by page, in send order, each with the
-  // incarnation of the home it went to, so a home's crash+restart can be
-  // survived by re-sending verbatim (value-form diffs make that idempotent).
-  struct Unacked {
-    std::uint32_t incarnation = 0;
-    std::vector<std::byte> field;
-  };
-  Mutex ft_mutex_ ACQUIRED_BEFORE(lock_order::fabric_gate);
-  std::multimap<PageId, Unacked> ft_outstanding_ GUARDED_BY(ft_mutex_);
+  // FT only: flushes to other homes, each with the home's incarnation at the
+  // send, so a flush the home's crash lost is re-sent to its restart.
+  Unacked unacked_;
 
   // --- checkpoint state (service thread only) -------------------------------
   std::map<PageId, Ckpt> ckpt_store_;  // snapshots held for our predecessor

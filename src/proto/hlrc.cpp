@@ -55,29 +55,25 @@ void HlrcProtocol::on_write_fault(PageId page) {
 // --------------------------------------------------------------------------
 
 void HlrcProtocol::close_and_flush() {
-  // take() registers this flush's acks along with the swap, so a racer that
-  // takes an empty list still waits them out below, then fills its grant
-  // under the log's mutex, which this flush holds from before its first
-  // diff until its interval is logged — no release completes before every
-  // page dirtied under it is home-acknowledged.
-  const std::vector<PageId> dirty = twins_.take(flush_acks_);
-  if (!dirty.empty()) {
+  {
+    // The flush registers its acks as it takes the list, so a racer that
+    // takes an empty list still waits them out below, then fills its grant
+    // under the log's mutex, which this flush holds until its interval is
+    // logged: no release completes before every page dirtied under it is
+    // home-acknowledged. The copies stay readable: their content is exactly
+    // what was flushed. A later write re-twins; remote writes arrive as
+    // notices.
     const MutexLock meta(log_.mutex);
-    log_.close(dirty);
-    for (const PageId page : dirty) {
-      auto& e = ctx_.table->entry(page);
-      const MutexLock lock(e.mutex);
-      // The copy stays readable: its content is exactly what we flushed.
-      // A later write re-twins; remote writes arrive as notices.
-      const auto diff = twins_.close(page, e, PageState::kReadOnly).diff;
-      ctx_.stats->counter("hlrc.flush_bytes").add(diff.size());
-      WireWriter w(diff.size() + 16);
-      w.put(page);
-      w.put_bytes(diff);
-      ctx_.send(MsgType::kUpdate, ctx_.home_of(page), std::move(w).take());
-    }
+    auto pages = twins_.flush(
+        flush_acks_, PageState::kReadOnly, [&](PageId page, const TwinSet::Closed& closed) {
+          ctx_.stats->counter("hlrc.flush_bytes").add(closed.diff.size());
+          WireWriter w(closed.diff.size() + 16);
+          w.put(page);
+          w.put_bytes(closed.diff);
+          return ctx_.make(MsgType::kUpdate, ctx_.home_of(page), std::move(w).take());
+        });
+    if (!pages.empty()) log_.close(std::move(pages));
   }
-
   // Eager half of HLRC: the release is not complete (and no grant can be
   // filled) until every home acknowledged — homes are then hb-current.
   flush_acks_.wait();

@@ -46,8 +46,8 @@ class HlrcProtocol final : public Protocol {
   const VectorClock& vclock() const { return log_.vclock(); }
 
  private:
-  /// Closes the open interval: encode diffs, flush them to the pages'
-  /// homes, wait for acks, record the interval. App thread.
+  /// Closes the open interval: flushes its diffs to the pages' homes,
+  /// records the interval and waits for the acks. App thread.
   void close_and_flush();
 
   void handle_page_reply(const Message& msg);

@@ -98,10 +98,8 @@ void QrcProtocol::init_pages() {
   parked_syncs_.clear();
   dead_handled_.clear();
   twins_.clear();
-  {
-    const MutexLock lock(flush_mutex_);
-    outstanding_.clear();
-  }
+  unacked_.clear();
+  flush_acks_.reset();
   const MutexLock lock(client_mutex_);
   fetching_.clear();
 }
@@ -130,43 +128,20 @@ void QrcProtocol::on_write_fault(PageId page) {
 }
 
 void QrcProtocol::flush_dirty() {
-  // take() and registering the taken pages in `outstanding_` share one
-  // guard, so a racer that takes an empty list finds them registered and
-  // waits them out below: no release completes before every page dirtied
-  // under it is quorum-acknowledged.
-  RelockableMutexLock taking(take_mutex_);
-  const std::vector<PageId> dirty = twins_.take();
-  if (!dirty.empty()) {
-    ctx_.stats->counter("qrc.flushes").add();
-    Network::BatchScope batch(ctx_.net);
-    for (const PageId page : dirty) {
-      auto& e = ctx_.table->entry(page);
-      std::vector<std::byte> field;
-      std::size_t diff_bytes = 0;
-      {
-        const MutexLock lock(e.mutex);
-        // Drop the copy outright (ERC keeps it read-only). A copy served by
-        // a since-failed primary may miss invalidations from its successor;
-        // re-fetching after every release closes that staleness window.
-        const auto closed = twins_.close(page, e, PageState::kInvalid);
-        diff_bytes = closed.diff.size();
-        // Always the value form: a failover may re-send this flush to a new
-        // primary whose base already includes it — the value form re-applies
-        // idempotently, the XOR form would un-apply it.
-        field = page_io::pack_diff_field(ctx_, closed.diff);
-      }
-      ctx_.stats->counter("qrc.diff_bytes").add(diff_bytes);
-      const NodeId target = primary_of(page);
-      {
-        const MutexLock lock(flush_mutex_);
-        outstanding_[page] = Flush{field, target};
-      }
-      ctx_.send(MsgType::kReplWrite, target, data_msg(page, field, ctx_.id));
-    }
-  }
-  taking.unlock();
-  RelockableMutexLock lock(flush_mutex_);
-  while (!outstanding_.empty()) flush_cv_.wait(flush_mutex_);
+  // Drop each copy outright (ERC keeps it read-only). A copy served by a
+  // since-failed primary may miss invalidations from its successor;
+  // re-fetching after every release closes that staleness window.
+  twins_.flush(flush_acks_, PageState::kInvalid, [&](PageId page, const TwinSet::Closed& closed) {
+    ctx_.stats->counter("qrc.diff_bytes").add(closed.diff.size());
+    // Always the value form: a failover may re-send this flush to a new
+    // primary whose base already includes it — the value form re-applies
+    // idempotently, the XOR form would un-apply it.
+    const auto field = page_io::pack_diff_field(ctx_, closed.diff);
+    const NodeId target = primary_of(page);
+    unacked_.add(page, {target, 0, field});
+    return ctx_.make(MsgType::kReplWrite, target, data_msg(page, field, ctx_.id));
+  });
+  flush_acks_.wait();
 }
 
 void QrcProtocol::on_message(const Message& msg) {
@@ -282,16 +257,7 @@ void QrcProtocol::handle_write(const Message& msg) {
 
 void QrcProtocol::handle_write_ack(const Message& msg) {
   WireReader r(msg.payload);
-  const auto page = r.get<PageId>();
-  bool done = false;
-  {
-    const MutexLock lock(flush_mutex_);
-    const auto it = outstanding_.find(page);
-    if (it == outstanding_.end()) return;  // duplicate ack after a re-send
-    outstanding_.erase(it);
-    done = outstanding_.empty();
-  }
-  if (done) flush_cv_.notify_all();
+  if (unacked_.retire(r.get<PageId>())) flush_acks_.ack();
 }
 
 void QrcProtocol::handle_sync(const Message& msg) {
@@ -508,12 +474,11 @@ void QrcProtocol::on_peer_down(NodeId peer) {
 
   // 6. Re-send unacked flushes to the new primary (value diffs: idempotent
   //    even if the old primary stored them before dying).
-  const MutexLock lock(flush_mutex_);
-  for (auto& [page, flush] : outstanding_) {
-    if (ctx_.net->liveness().alive(flush.target)) continue;
+  unacked_.for_each([&](PageId page, Unacked::Flush& flush) {
+    if (ctx_.net->liveness().alive(flush.target)) return;
     flush.target = primary_of(page);
     ctx_.send(MsgType::kReplWrite, flush.target, data_msg(page, flush.field, ctx_.id));
-  }
+  });
 }
 
 void QrcProtocol::on_peer_up(NodeId peer) {
@@ -540,11 +505,8 @@ void QrcProtocol::on_self_restart() {
   // Client view back to all-invalid (the post-init_pages picture).
   page_io::reset_pages(ctx_, PageState::kInvalid, PageState::kInvalid);
   twins_.clear();
-  {
-    const MutexLock lock(flush_mutex_);
-    outstanding_.clear();
-  }
-  flush_cv_.notify_all();
+  unacked_.clear();
+  flush_acks_.reset();
   {
     const MutexLock lock(client_mutex_);
     fetching_.clear();

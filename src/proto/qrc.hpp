@@ -78,13 +78,6 @@ class QrcProtocol final : public Protocol {
     bool keeper_phase = false;       // invalidations done, keeper pushes sent
   };
 
-  /// An unacked release flush (client side), kept so a primary failover can
-  /// re-send it verbatim — value diffs make the re-send idempotent.
-  struct Flush {
-    std::vector<std::byte> field;
-    NodeId target = kNoNode;
-  };
-
   /// An in-progress primaryship takeover or restart resync for one page.
   struct Recovery {
     std::set<NodeId> pending;
@@ -137,14 +130,11 @@ class QrcProtocol final : public Protocol {
   // --- client state ---------------------------------------------------------
   TwinSet twins_;
 
-  // Held by a release from taking the dirty list through registering its
-  // pages below (flush_dirty).
-  Mutex take_mutex_ ACQUIRED_BEFORE(lock_order::fabric_gate);
-  // Outstanding release flushes: registered by the app thread, retired by
-  // the service thread (ack), re-targeted by the service thread (failover).
-  Mutex flush_mutex_ ACQUIRED_BEFORE(lock_order::fabric_gate);
-  CondVar flush_cv_;
-  std::map<PageId, Flush> outstanding_ GUARDED_BY(flush_mutex_);
+  // One ack per flushed page, from its primary once every live group member
+  // stores the write.
+  AckCount flush_acks_;
+  // Each flush with the primary it was sent to, so a failover can re-aim it.
+  Unacked unacked_;
 
   // Outstanding page fetches and who they were sent to, so a failover can
   // re-aim them (app thread registers, service thread retires/re-sends).

@@ -22,14 +22,6 @@ std::vector<PageId> TwinSet::take() {
   return out;
 }
 
-std::vector<PageId> TwinSet::take(AckCount& acks) {
-  std::vector<PageId> out;
-  const MutexLock lock(mutex_);
-  out.swap(dirty_);
-  acks.expect(static_cast<int>(out.size()));
-  return out;
-}
-
 void TwinSet::clear() {
   const MutexLock lock(mutex_);
   dirty_.clear();
@@ -95,6 +87,24 @@ void AckCount::reset() {
     outstanding_ = 0;
   }
   cv_.notify_all();
+}
+
+void Unacked::add(PageId page, Flush flush) {
+  const MutexLock lock(mutex_);
+  records_.emplace(page, std::move(flush));  // after the page's older records
+}
+
+bool Unacked::retire(PageId page) {
+  const MutexLock lock(mutex_);
+  const auto it = records_.lower_bound(page);
+  if (it == records_.end() || it->first != page) return false;
+  records_.erase(it);
+  return true;
+}
+
+void Unacked::clear() {
+  const MutexLock lock(mutex_);
+  records_.clear();
 }
 
 }  // namespace dsm

@@ -6,6 +6,7 @@
 // and what state a page is left in afterwards, stays each protocol's own.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -18,7 +19,23 @@
 
 namespace dsm {
 
-class AckCount;
+/// Release-side ack rendezvous between an app thread and the service
+/// thread: register the acks a release expects before sending anything
+/// (the first can arrive while later diffs are still being encoded), count
+/// them back, and wait for zero.
+class AckCount {
+ public:
+  void expect(int n);
+  void ack();
+  void wait();
+  /// Forgets every expected ack and wakes the waiters (node restart).
+  void reset();
+
+ private:
+  Mutex mutex_ ACQUIRED_BEFORE(lock_order::fabric_gate);
+  CondVar cv_;
+  int outstanding_ GUARDED_BY(mutex_) = 0;
+};
 
 /// A node's open write intervals: the twins in its page entries plus the
 /// list of pages dirtied since the last release.
@@ -50,11 +67,6 @@ class TwinSet {
   /// owns flushing it; another app thread may be dirtying or flushing
   /// concurrently.
   std::vector<PageId> take();
-  /// take(), registering one expected ack per taken page in `acks` under
-  /// the same guard: a racing release that takes an empty list then finds
-  /// these acks registered and waits them out, so no release completes
-  /// before every page dirtied under it is acknowledged.
-  std::vector<PageId> take(AckCount& acks);
   void clear();
 
   /// A page's closed interval: its diff against the twin, and the twin.
@@ -62,6 +74,40 @@ class TwinSet {
     std::vector<std::byte> diff;
     std::unique_ptr<std::byte[]> twin;
   };
+
+  /// The release flush of erc, hlrc and qrc: takes the dirty list, then
+  /// closes each page to `after` and sends its flush, `message(page,
+  /// closed)`, which runs under `e.mutex`. Every flush of the release
+  /// leaves at one instant, the clock read before the first: a send costs
+  /// no virtual time, so no ack can land inside the loop, and one the
+  /// service thread handles meanwhile must not stamp later sends. Counts
+  /// proto.flushes when it closes a page; returns the pages.
+  template <class Message_>
+  std::vector<PageId> flush(AckCount& acks, PageState after, Message_&& message) {
+    std::vector<PageId> pages;
+    {
+      // One expected ack per taken page, registered under the list's guard:
+      // a racing release that takes an empty list then finds these acks and
+      // waits them out, so no release completes before every page dirtied
+      // under it is acknowledged.
+      const MutexLock lock(mutex_);
+      pages.swap(dirty_);
+      acks.expect(static_cast<int>(pages.size()));
+    }
+    if (pages.empty()) return pages;
+    ctx_.stats->counter("proto.flushes").add();
+    const VirtualTime departs = ctx_.clock->now();
+    Network::BatchScope batch(ctx_.net);
+    for (const PageId page : pages) {
+      auto& e = ctx_.table->entry(page);
+      const MutexLock lock(e.mutex);
+      Message msg = message(page, close(page, e, after));
+      msg.send_time = departs;
+      ctx_.net->send(std::move(msg));
+    }
+    return pages;
+  }
+
   /// Ends the page's interval: moves a readable copy to `after` (its
   /// protocol's post-release state; an invalid copy stays invalid), then
   /// encodes its diff and drops the twin and the dirty bit. Protect before
@@ -104,27 +150,39 @@ class TwinSet {
   // Appended under a page's entry mutex by whichever thread services a
   // write fault (uffd executors run several concurrently), swapped out by
   // a release that then takes protocol mutexes: its own mutex, held only
-  // around the list and, in take(AckCount&), an AckCount's.
+  // around the list and, in flush(), an AckCount's.
   Mutex mutex_ ACQUIRED_BEFORE(lock_order::fabric_gate);
   std::vector<PageId> dirty_ GUARDED_BY(mutex_);
 };
 
-/// Release-side ack rendezvous between an app thread and the service
-/// thread: register the acks a release expects before sending anything
-/// (the first can arrive while later diffs are still being encoded), count
-/// them back, and wait for zero.
-class AckCount {
+/// Release flushes sent and not yet acknowledged (erc under FT, qrc), kept
+/// so a failover or restart can re-send them verbatim: value-form diffs make
+/// a re-send idempotent. One record per sent flush, added before the send;
+/// a page's final ack retires its oldest record, so two flushes of one page
+/// each wait for their own ack.
+class Unacked {
  public:
-  void expect(int n);
-  void ack();
-  void wait();
-  /// Forgets every expected ack and wakes the waiters (node restart).
-  void reset();
+  struct Flush {
+    NodeId target = kNoNode;        // where it was last sent
+    std::uint32_t incarnation = 0;  // of `target` then (erc)
+    std::vector<std::byte> field;   // the encoded diff
+  };
+  void add(PageId page, Flush flush);
+  /// Retires the page's oldest record; false if none is left: the ack is
+  /// a duplicate, from a flush that reached its target and was re-sent.
+  bool retire(PageId page);
+  /// Runs `fn(page, flush)` on every record under the store's mutex; `fn`
+  /// may re-aim the record and re-send it.
+  template <class Fn>
+  void for_each(Fn&& fn) {
+    const MutexLock lock(mutex_);
+    for (auto& [page, flush] : records_) fn(page, flush);
+  }
+  void clear();
 
  private:
   Mutex mutex_ ACQUIRED_BEFORE(lock_order::fabric_gate);
-  CondVar cv_;
-  int outstanding_ GUARDED_BY(mutex_) = 0;
+  std::multimap<PageId, Flush> records_ GUARDED_BY(mutex_);
 };
 
 }  // namespace dsm

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string_view>
+#include <thread>
 
 #include "core/dsm.hpp"
 #include "proto/qrc.hpp"
@@ -68,6 +70,66 @@ TEST(QrcTest, ColdReadRecordsItsFaultTransaction) {
   EXPECT_EQ(spans, faults);
 }
 
+// Two sibling threads of node 2 write different words of page 0 under
+// different locks and release one after the other, so two flushes of the
+// page are in flight. The primary (node 0) serializes them; node 1's sync
+// acks are held so that the first write is acknowledged only after the
+// second reached the primary. That first ack must not complete the second
+// release: each flush waits for its own ack.
+TEST(QrcTest, SamePageFlushesEachWaitForTheirOwnAck) {
+  std::string reason;
+  if (!uffd_available(&reason)) GTEST_SKIP() << "[uffd unavailable] " << reason;
+  Config cfg = qrc_config(3, 2);  // page 0: primary node 0, backup node 1
+  cfg.fault_engine = FaultEngineKind::kUffd;
+  cfg.app_threads = 2;
+  cfg.reliability.rto_max_ms = 10;  // held acks retry often and never give up
+  cfg.reliability.max_retries = 100'000;
+  std::atomic<int> writes{0};  // node 2's flushes that reached the primary
+  std::atomic<bool> first_ack_out{false}, written_back{false}, release_all{false};
+  std::atomic<bool> second_released{false};
+  System sys(cfg);
+  const auto a_word = sys.alloc_page_aligned<std::uint64_t>(2);  // page 0
+  const auto b_word = a_word + 1;
+  sys.network().set_drop_hook([&](const Message& msg) {
+    if (msg.type == MsgType::kReplWrite && msg.src == 2) writes++;
+    if (msg.type == MsgType::kReplWriteAck && msg.dst == 2) written_back = true;
+    if (msg.type != MsgType::kReplSyncAck || msg.src != 1 || release_all) return false;
+    bool expected = false;
+    return writes.load() < 2 || !first_ack_out.compare_exchange_strong(expected, true);
+  });
+  bool blocked_after_200ms = false;
+  std::uint64_t a_seen = 0, b_seen = 0;
+  sys.run([&](Worker& w) {
+    if (w.id() == 2) {
+      std::thread second = w.spawn([&](Worker& s) {
+        while (writes.load() < 1) std::this_thread::yield();
+        s.acquire(2);
+        *s.get(b_word) = 2;
+        s.release(2);
+        second_released = true;
+      });
+      w.acquire(1);
+      *w.get(a_word) = 1;
+      w.release(1);
+      second.join();
+    }
+    if (w.id() == 0) {
+      while (!written_back) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      blocked_after_200ms = !second_released;
+      release_all = true;
+    }
+    w.barrier(0);
+    if (w.id() == 0) {
+      a_seen = test::force_read(w.get(a_word));
+      b_seen = test::force_read(w.get(b_word));
+    }
+  });
+  EXPECT_TRUE(blocked_after_200ms) << "the second release returned on the first flush's ack";
+  EXPECT_EQ(a_seen, 1u);
+  EXPECT_EQ(b_seen, 2u);
+}
+
 class QrcReplicationTest : public ::testing::TestWithParam<std::size_t> {
  protected:
   void SetUp() override { TUTORDSM_SKIP_IF_UFFD_UNAVAILABLE(); }
@@ -88,7 +150,7 @@ TEST_P(QrcReplicationTest, LockedCounterIsCoherent) {
     w.barrier(0);
   });
   EXPECT_EQ(observed.load(), 12u);
-  EXPECT_GE(sys.stats().counter("qrc.flushes"), 1u);
+  EXPECT_GE(sys.stats().counter("proto.flushes"), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Factors, QrcReplicationTest, ::testing::Values(1, 2, 3),
