@@ -57,8 +57,6 @@ namespace {
 constexpr auto kNever = realclock::never();
 /// Retransmit timeout multiplier per retry (exponential backoff).
 constexpr double kRtoBackoff = 2.0;
-/// Max summed wire bytes per kBatch envelope.
-constexpr std::size_t kMaxBatchBytes = 16 * 1024;
 
 /// Min-heap order for Network::Delayed (generic: the type is private).
 struct DelayedOrder {
@@ -100,7 +98,10 @@ Network::Network(std::size_t n_nodes, LinkModel link, StatsRegistry* stats,
       acks_wire_(stats->counter("net.acks_wire")),
       bytes_saved_(stats->counter("net.bytes_saved")),
       dead_dropped_(stats->counter("net.dead_dropped")),
-      peer_dead_(stats->counter("net.peer_dead")) {
+      peer_dead_(stats->counter("net.peer_dead")),
+      msgs_(stats->counter("net.msgs")),
+      bytes_(stats->counter("net.bytes")),
+      msg_size_(stats->histogram("net.msg_size")) {
   DSM_CHECK(n_nodes > 0);
   DSM_CHECK(stats != nullptr);
   transport_ = make_transport(transport_cfg_, n_nodes, this, stats);
@@ -482,16 +483,27 @@ void Network::deliver(Message msg) {
     tracer_->complete(msg.dst, TraceCat::kNet, to_string(msg.type).data(),
                       msg.send_time, msg.arrival_time, "src", msg.src, "seq", msg.seq);
   }
-  stats_->counter("net.msgs").add();
-  stats_->counter("net.bytes").add(bytes);
-  stats_->counter(std::string("net.msgs.") + std::string(to_string(msg.type))).add();
-  stats_->histogram("net.msg_size").record(bytes);
+  msgs_.add();
+  bytes_.add(bytes);
+  msgs_of(msg.type).add();
+  msg_size_.record(bytes);
   if (log_enabled(LogLevel::kTrace)) {
     DSM_LOG_TRACE << "deliver " << to_string(msg.type) << ' ' << msg.src << "->"
                   << msg.dst << " seq=" << msg.seq << " bytes=" << bytes
                   << " t=" << msg.send_time;
   }
   mailboxes_[msg.dst].push(std::move(msg));
+}
+
+Counter& Network::msgs_of(MsgType type) {
+  std::atomic<Counter*>& slot = msgs_by_type_[static_cast<std::size_t>(type)];
+  Counter* counter = slot.load(std::memory_order_acquire);
+  if (counter == nullptr) {
+    // Racing first deliveries look up the same registry entry.
+    counter = &stats_->counter("net.msgs." + std::string(to_string(type)));
+    slot.store(counter, std::memory_order_release);
+  }
+  return *counter;
 }
 
 void Network::complete_inflight(const Message& msg) {

@@ -14,6 +14,7 @@
 // batching & compression".
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <deque>
 #include <functional>
@@ -75,6 +76,11 @@ struct ReliabilityConfig {
   /// Virtual-time charge per retransmit (a 90s-era timeout constant).
   VirtualTime rto_virtual_ns = 200'000;
 };
+
+/// Max summed wire bytes per kBatch envelope. Also the payload budget of
+/// LRC's packed settle-up push, so neither comes near UDP's
+/// kMaxDatagramSize.
+inline constexpr std::size_t kMaxBatchBytes = 16 * 1024;
 
 /// Wire-level optimisation knobs (all default off; defaults are
 /// bit-identical to the unbatched, un-piggybacked, uncompressed wire).
@@ -359,6 +365,8 @@ class Network {
   void accept_front(LinkState& st, Message msg) REQUIRES(links_mutex_);
   /// Final step: traffic accounting + mailbox push, in-order per link.
   void deliver(Message msg);
+  /// The net.msgs.<type> counter, registered on the type's first delivery.
+  Counter& msgs_of(MsgType type);
   /// Completes (erases) the sender's in-flight entry — the internal ack.
   void complete_inflight(const Message& msg);
   /// Completes every in-flight entry on `link` fully below `upto`
@@ -456,6 +464,12 @@ class Network {
   Counter& bytes_saved_;
   Counter& dead_dropped_;
   Counter& peer_dead_;
+  Counter& msgs_;
+  Counter& bytes_;
+  Histogram& msg_size_;
+  /// net.msgs.<type> by MsgType; null until the type is first delivered, so
+  /// a snapshot lists only the types that travelled.
+  std::array<std::atomic<Counter*>, static_cast<std::size_t>(MsgType::kCount_)> msgs_by_type_{};
 };
 
 /// kPeerDown / kPeerUp payload codec: u32 peer | u8 restart-intent.

@@ -109,7 +109,8 @@ class Transport {
 constexpr std::uint32_t kWireMagic = 0x44534D57;  // "DSMW"
 constexpr std::uint16_t kWireVersion = 1;
 constexpr std::size_t kWireHeaderSize = 64;
-/// Largest datagram ship() accepts (UDP practical limit on loopback).
+/// Largest datagram ship() accepts (UDP practical limit on loopback). A
+/// larger frame aborts the sender: no retransmission could deliver it.
 constexpr std::size_t kMaxDatagramSize = 60 * 1024;
 
 struct WireDatagram {

@@ -20,7 +20,6 @@
 
 #include "common/assert.hpp"
 #include "common/lock_order.hpp"
-#include "common/logging.hpp"
 #include "common/thread_annotations.hpp"
 #include "net/network.hpp"
 #include "net/transport.hpp"
@@ -145,14 +144,11 @@ class UdpTransport final : public Transport {
 
   void ship(Message msg, std::uint32_t attempt) override {
     const std::vector<std::byte> wire = encode_datagram(msg, attempt, epoch_);
-    if (wire.size() > kMaxDatagramSize) {
-      // Oversized frames cannot be recovered by retransmission either;
-      // this is a configuration bug (the batch byte cap vs page_size).
-      send_errors_.add();
-      DSM_LOG_WARN << "udp: datagram of " << wire.size() << " bytes exceeds "
-                   << kMaxDatagramSize << " — dropped (" << to_string(msg.type) << ')';
-      return;
-    }
+    // No retransmission can deliver an oversized frame: dropping it would
+    // only wedge its waiter until the retries give up or the watchdog fires.
+    DSM_CHECK_MSG(wire.size() <= kMaxDatagramSize,
+                  "udp: " << to_string(msg.type) << " datagram of " << wire.size()
+                          << " bytes exceeds kMaxDatagramSize (" << kMaxDatagramSize << ')');
     const sockaddr_in& addr = addrs_[msg.dst];
     const ssize_t sent =
         ::sendto(fd_for(msg.src), wire.data(), wire.size(), 0,

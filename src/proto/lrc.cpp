@@ -5,6 +5,7 @@
 
 #include "common/logging.hpp"
 #include "mem/diff.hpp"
+#include "net/network.hpp"
 #include "proto/fault_txn.hpp"
 #include "proto/page_io.hpp"
 
@@ -19,8 +20,13 @@ namespace {
 //   kDiffRequest         : u32 page | u32 requester | u32 n | n×u32 intervals
 //   kDiffReply           : u32 page | u32 n | n × { u32 interval | u64 stamp |
 //                                                   bytes diff }
-//   kUpdate (settle push): u32 page | u32 interval | u64 stamp | bytes diff
-//   kUpdateAck           : (empty)
+//   kUpdate (settle push): u32 n | n × { u32 page | u32 interval | u64 stamp |
+//                                        bytes diff }, at most kMaxBatchBytes
+//                          unless n = 1
+//   kUpdateAck           : (empty), one per kUpdate
+
+// A kUpdate record's bytes besides its diff: page, interval, stamp, length.
+constexpr std::size_t kPushRecordHeader = 20;
 
 // Diff application order: stamp, then writer between concurrent intervals.
 constexpr auto by_stamp = [](const auto& a, const auto& b) {
@@ -163,24 +169,49 @@ void LrcProtocol::push_diffs_to_homes() {
   // Unicast every diff this node created this epoch to its page's home;
   // block until all are acknowledged. Every home therefore holds the whole
   // epoch before any node can arrive at the barrier — the release can then
-  // move notices only, instead of broadcasting O(data × nodes).
+  // move notices only, instead of broadcasting O(data × nodes). Each home's
+  // records travel packed, and a message leaves as soon as the next record
+  // would take it past kMaxBatchBytes, so at most one message per home is
+  // open at a time.
   {
     const MutexLock meta(log_.mutex);
-    int sent = 0;
-    for (const auto& [page, records] : diff_cache_) sent += static_cast<int>(records.size());
-    if (sent == 0) return;
-    push_acks_.expect(sent);
-    for (const auto& [page, records] : diff_cache_) {
-      for (const auto& rec : records) {
-        WireWriter w(rec.bytes.size() + 24);
+    if (diff_cache_.empty()) return;
+    struct Packing {
+      std::vector<std::pair<PageId, const DiffRecord*>> records;
+      std::size_t bytes = sizeof(std::uint32_t);
+    };
+    std::vector<Packing> open(ctx_.n_nodes);
+    std::uint64_t diff_bytes = 0;
+    const auto send = [&](NodeId home) {
+      Packing& p = open[home];
+      WireWriter w(p.bytes);
+      w.put(static_cast<std::uint32_t>(p.records.size()));
+      for (const auto& [page, rec] : p.records) {
         w.put(page);
-        w.put(rec.interval);
-        w.put(rec.stamp);
-        w.put_bytes(rec.bytes);
-        ctx_.send(MsgType::kUpdate, ctx_.home_of(page), std::move(w).take());
-        ctx_.stats->counter("lrc.settle_push_bytes").add(rec.bytes.size());
+        w.put(rec->interval);
+        w.put(rec->stamp);
+        w.put_bytes(rec->bytes);
+      }
+      push_acks_.expect(1);
+      ctx_.send(MsgType::kUpdate, home, std::move(w).take());
+      p = Packing{};
+    };
+    for (const auto& [page, records] : diff_cache_) {
+      const NodeId home = ctx_.home_of(page);
+      for (const auto& rec : records) {
+        const std::size_t bytes = kPushRecordHeader + rec.bytes.size();
+        if (!open[home].records.empty() && open[home].bytes + bytes > kMaxBatchBytes) {
+          send(home);
+        }
+        open[home].records.emplace_back(page, &rec);
+        open[home].bytes += bytes;
+        diff_bytes += rec.bytes.size();
       }
     }
+    for (NodeId home = 0; home < open.size(); ++home) {
+      if (!open[home].records.empty()) send(home);
+    }
+    ctx_.stats->counter("lrc.settle_push_bytes").add(diff_bytes);
   }
   push_acks_.wait();
 }
@@ -196,20 +227,23 @@ void LrcProtocol::on_message(const Message& msg) {
     case MsgType::kDiffRequest: handle_diff_request(msg); return;
     case MsgType::kDiffReply: handle_diff_reply(msg); return;
     case MsgType::kUpdate: {
-      // A settle-round diff push: buffer it for stamp-ordered application
-      // at the barrier release, and acknowledge.
+      // A settle-round diff push: buffer its records for stamp-ordered
+      // application at the barrier release, and acknowledge it once.
       WireReader r(msg.payload);
-      const auto page = r.get<PageId>();
-      DiffRecord rec;
-      rec.interval = r.get<std::uint32_t>();
-      rec.stamp = r.get<std::uint64_t>();
-      rec.writer = msg.src;
-      const auto bytes = r.get_bytes();
-      rec.bytes.assign(bytes.begin(), bytes.end());
+      const auto n = r.get<std::uint32_t>();
       {
         const MutexLock meta(log_.mutex);
-        DSM_CHECK_MSG(ctx_.home_of(page) == ctx_.id, "lrc: diff push at non-home");
-        settle_buffer_[page].push_back(std::move(rec));
+        for (std::uint32_t i = 0; i < n; ++i) {
+          const auto page = r.get<PageId>();
+          DSM_CHECK_MSG(ctx_.home_of(page) == ctx_.id, "lrc: diff push at non-home");
+          DiffRecord rec;
+          rec.interval = r.get<std::uint32_t>();
+          rec.stamp = r.get<std::uint64_t>();
+          rec.writer = msg.src;
+          const auto bytes = r.get_bytes();
+          rec.bytes.assign(bytes.begin(), bytes.end());
+          settle_buffer_[page].push_back(std::move(rec));
+        }
       }
       ctx_.send(MsgType::kUpdateAck, msg.src, {});
       return;

@@ -115,8 +115,9 @@ class LrcProtocol final : public Protocol {
   TwinSet twins_;
 
   /// Settle round, app-thread side: unicast every cached diff to its page's
-  /// home and block until all are acknowledged. Runs in before_barrier, so
-  /// every home holds the complete epoch before any node arrives.
+  /// home, packed per home into kUpdates of at most kMaxBatchBytes, and
+  /// block until all are acknowledged. Runs in before_barrier, so every home
+  /// holds the complete epoch before any node arrives.
   void push_diffs_to_homes();
 
   // ---- barrier bookkeeping ----

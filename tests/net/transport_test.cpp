@@ -433,6 +433,19 @@ TEST_F(UdpTransportTest, MisdirectedDatagramsAreCounted) {
   EXPECT_TRUE(wait_counter(stats_, "net.malformed_dropped", 1));
 }
 
+TEST(UdpTransportDeathTest, OversizeDatagramAbortsAtOnce) {
+  // No retransmission can deliver a frame over kMaxDatagramSize: the sender
+  // dies naming the message instead of retrying it into net.gave_up.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        StatsRegistry stats;
+        Network net(2, LinkModel{}, &stats, {}, {}, {}, nullptr, udp_config());
+        net.send(make_msg(MsgType::kUpdate, 0, 1, kMaxDatagramSize));
+      },
+      "Update datagram of 61504 bytes exceeds kMaxDatagramSize");
+}
+
 TEST(UdpTransportLifecycle, TwoFabricsCoexistAndStopCleanly) {
   // Ephemeral ports: two UDP networks in one process never collide, and
   // explicit shutdown() then destruction is not a double-stop.

@@ -318,7 +318,69 @@ TEST(Lrc, SettleBarrierGarbageCollects) {
   });
   const auto& lrc1 = dynamic_cast<LrcProtocol&>(sys.protocol(1));
   EXPECT_EQ(lrc1.cached_diffs(), 0u);  // GC ran on the third barrier
-  EXPECT_EQ(sys.stats().counter("lrc.settle_barriers"), 2u);  // 1 round × 2 nodes
+  const auto snap = sys.stats();
+  EXPECT_EQ(snap.counter("lrc.settle_barriers"), 2u);  // 1 round × 2 nodes
+  // Node 1's three intervals on the page travel to its home in one push.
+  EXPECT_EQ(snap.counter("net.msgs.Update"), 1u);
+}
+
+// Node 1 rewrites every word of 8 pages homed at node 0 in each of 16
+// intervals, so the settle-up pushes 16 full-page diffs per page: ~66 KB per
+// page, more than one UDP datagram holds. Every kUpdate must stay within the
+// packing budget unless it carries a single record.
+void expect_settle_push_within_budget(TransportKind transport) {
+  Config cfg = lrc_config(2);
+  cfg.lrc_gc_period = 16;
+  cfg.transport.kind = transport;
+  System sys(cfg);
+  constexpr std::size_t kPages = 8;
+  constexpr std::uint64_t kIntervals = 16;
+  const std::size_t words = cfg.page_size / sizeof(std::uint64_t);
+  // Pages 0..15; with 2 nodes the even ones are homed at node 0.
+  const auto heap = sys.alloc_page_aligned<std::uint64_t>(2 * kPages * words);
+  std::atomic<int> updates{0};
+  std::atomic<int> over_budget{0};
+  sys.network().set_delivery_hook([&](const Message& msg) {
+    if (msg.type != MsgType::kUpdate) return;
+    ++updates;
+    WireReader r(msg.payload);
+    if (msg.payload.size() > kMaxBatchBytes && r.get<std::uint32_t>() != 1) ++over_budget;
+  });
+  std::atomic<int> stale_words{0};
+  sys.run([&](Worker& w) {
+    for (std::uint64_t interval = 0; interval < kIntervals; ++interval) {
+      if (w.id() == 1) {
+        for (std::size_t p = 0; p < kPages; ++p) {
+          std::uint64_t* page = w.get(heap) + 2 * p * words;
+          for (std::size_t i = 0; i < words; ++i) page[i] = interval * words + i + 1;
+        }
+      }
+      w.barrier(0);  // the 16th settles
+    }
+    if (w.id() == 0) {
+      for (std::size_t p = 0; p < kPages; ++p) {
+        const std::uint64_t* page = w.get(heap) + 2 * p * words;
+        for (std::size_t i = 0; i < words; ++i) {
+          if (page[i] != (kIntervals - 1) * words + i + 1) ++stale_words;
+        }
+      }
+    }
+  });
+  const auto snap = sys.stats();
+  EXPECT_EQ(snap.counter("lrc.settle_barriers"), 2u);
+  EXPECT_GT(updates.load(), 0);
+  EXPECT_LT(updates.load(), static_cast<int>(kPages * kIntervals));  // records share messages
+  EXPECT_EQ(over_budget.load(), 0);
+  EXPECT_EQ(snap.counter("net.gave_up"), 0u);
+  EXPECT_EQ(stale_words.load(), 0);
+}
+
+TEST(Lrc, SettlePushStaysWithinBudget) {
+  expect_settle_push_within_budget(TransportKind::kInproc);
+}
+
+TEST(Lrc, SettlePushStaysWithinBudgetOverUdp) {
+  expect_settle_push_within_budget(TransportKind::kUdp);
 }
 
 TEST(Lrc, ReleaseOfInvalidatedDirtyPageEncodesSafely) {
